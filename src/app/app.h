@@ -20,7 +20,8 @@
 //                      move any registered app between placements.
 //
 // Substrates host apps through AppContext implementations: Server (host
-// worker threads), FpgaNic (main logical core), and SwitchHostedApp
+// worker threads), OffloadNic (the FPGA NIC's main logical core or a
+// SmartNIC's offload engine, device/offload_nic.h), and SwitchHostedApp
 // (pipeline program, app/switch_app.h).
 #ifndef INCOD_SRC_APP_APP_H_
 #define INCOD_SRC_APP_APP_H_
@@ -193,10 +194,9 @@ class App {
   virtual void RestoreState(const AppState& state) { (void)state; }
 
   // The context of the substrate currently hosting this app. Set by the
-  // substrate when the app is bound/installed. Virtual so wrapper apps
-  // (SmartNicHostedApp) can propagate the binding to the app they adapt.
+  // substrate when the app is bound/installed.
   AppContext* context() const { return context_; }
-  virtual void BindContext(AppContext* context) { context_ = context; }
+  void BindContext(AppContext* context) { context_ = context; }
 
  private:
   AppContext* context_ = nullptr;

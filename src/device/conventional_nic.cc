@@ -6,6 +6,12 @@
 
 namespace incod {
 
+namespace {
+// Packets the max_pps rate cap may hold in its small on-NIC buffer before
+// it drops.
+constexpr int kRateCapBufferPackets = 128;
+}  // namespace
+
 ConventionalNicConfig MellanoxConnectX3Config(NodeId host_node) {
   ConventionalNicConfig config;
   config.name = "mellanox-cx3";
@@ -58,15 +64,11 @@ void ConventionalNic::Receive(Packet packet) {
   if (config_.max_pps > 0) {
     // The packet-rate ceiling sits in front of the rings (the classify/DMA
     // engine); paced packets land in their RSS ring when the engine frees.
-    const SimDuration per_packet = SecondsF(1.0 / config_.max_pps);
-    const SimTime now = sim_.Now();
-    const SimTime start = std::max(now, busy_until_);
-    if (start - now > 128 * per_packet) {  // Small on-NIC buffer, then drop.
-      dropped_.Increment();
+    const std::optional<SimTime> freed = PaceAtRateCap();
+    if (!freed.has_value()) {
       return;
     }
-    busy_until_ = start + per_packet;
-    sim_.ScheduleAt(start + per_packet, [this, pkt = std::move(packet)]() mutable {
+    sim_.ScheduleAt(*freed, [this, pkt = std::move(packet)]() mutable {
       ReceiveIntoRing(std::move(pkt));
     });
     return;
@@ -74,18 +76,25 @@ void ConventionalNic::Receive(Packet packet) {
   ReceiveIntoRing(std::move(packet));
 }
 
+std::optional<SimTime> ConventionalNic::PaceAtRateCap() {
+  const SimDuration per_packet = SecondsF(1.0 / config_.max_pps);
+  const SimTime now = sim_.Now();
+  const SimTime start = std::max(now, busy_until_);
+  if (start - now > kRateCapBufferPackets * per_packet) {
+    dropped_.Increment();
+    return std::nullopt;
+  }
+  busy_until_ = start + per_packet;
+  return busy_until_;
+}
+
 void ConventionalNic::ForwardLegacy(Link* out, Packet packet) {
   if (config_.max_pps > 0) {
-    // Per-packet pacing models the NIC's packet-rate ceiling.
-    const SimDuration per_packet = SecondsF(1.0 / config_.max_pps);
-    const SimTime now = sim_.Now();
-    const SimTime start = std::max(now, busy_until_);
-    if (start - now > 128 * per_packet) {  // Small on-NIC buffer, then drop.
-      dropped_.Increment();
+    const std::optional<SimTime> freed = PaceAtRateCap();
+    if (!freed.has_value()) {
       return;
     }
-    busy_until_ = start + per_packet;
-    sim_.ScheduleAt(start + per_packet + config_.latency,
+    sim_.ScheduleAt(*freed + config_.latency,
                     [this, out, pkt = std::move(packet)]() mutable {
                       out->Send(this, std::move(pkt));
                     });
@@ -193,16 +202,6 @@ void ConventionalNic::FlushTx() {
     tx_batch_.pop_front();
     net_link_->Send(this, std::move(pkt));
   }
-}
-
-void ConventionalNic::OnLinkCongestion(Link* link, bool congested) {
-  if (link != host_link_ || net_link_ == nullptr || !net_link_->config().flow.pfc) {
-    return;
-  }
-  if (congested) {
-    ++pause_propagations_;
-  }
-  net_link_->PauseUpstream(this, congested);
 }
 
 }  // namespace incod

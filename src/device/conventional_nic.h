@@ -20,9 +20,11 @@
 
 #include <cstdint>
 #include <deque>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "src/device/nic_ports.h"
 #include "src/net/link.h"
 #include "src/net/packet.h"
 #include "src/power/power_source.h"
@@ -72,22 +74,10 @@ struct ConventionalNicConfig {
 ConventionalNicConfig MellanoxConnectX3Config(NodeId host_node);
 ConventionalNicConfig IntelX520Config(NodeId host_node);
 
-class ConventionalNic : public PacketSink, public PowerSource, public FlowListener {
+// Links and the PFC pause relay come from NicPorts.
+class ConventionalNic : public NicPorts, public PowerSource {
  public:
   ConventionalNic(Simulation& sim, ConventionalNicConfig config);
-
-  void SetNetworkLink(Link* link) { net_link_ = link; }
-  void SetHostLink(Link* link) {
-    host_link_ = link;
-    if (link != nullptr && link->config().flow.pfc) {
-      link->SetFlowListener(this, this);
-    }
-  }
-
-  // FlowListener: PCIe backlog toward the host crossed a watermark —
-  // propagate the pause out to the network side.
-  void OnLinkCongestion(Link* link, bool congested) override;
-  uint64_t pause_propagations() const { return pause_propagations_; }
 
   void Receive(Packet packet) override;
   std::string SinkName() const override { return config_.name; }
@@ -118,6 +108,9 @@ class ConventionalNic : public PacketSink, public PowerSource, public FlowListen
     bool drain_pending = false;
   };
 
+  // max_pps pacing: books the packet-rate engine's next slot and returns
+  // when it frees, or nullopt (counted drop) when the buffer overruns.
+  std::optional<SimTime> PaceAtRateCap();
   // Pass-through (hostnic disabled) forward with optional max_pps pacing.
   void ForwardLegacy(Link* out, Packet packet);
   // Mechanistic rx: RSS ring placement + moderation trigger.
@@ -130,11 +123,8 @@ class ConventionalNic : public PacketSink, public PowerSource, public FlowListen
 
   Simulation& sim_;
   ConventionalNicConfig config_;
-  Link* net_link_ = nullptr;
-  Link* host_link_ = nullptr;
   SimTime busy_until_ = 0;
   Counter dropped_;
-  uint64_t pause_propagations_ = 0;
   // Mechanistic datapath state.
   std::vector<RxRing> rx_rings_;
   std::deque<Packet> tx_batch_;

@@ -1,9 +1,11 @@
 // NetFPGA-SUME-like FPGA NIC model.
 //
-// The board acts as the host's NIC at all times (the paper's LaKe/Emu DNS
-// packet classifier passes non-application traffic through), and optionally
-// runs one FpgaApp in its main logical core. Power is tracked per module in
-// a PowerLedger calibrated from §5 of the paper:
+// The board is an OffloadNic (offload_nic.h): it acts as the host's NIC at
+// all times, its packet classifier passing non-application traffic through,
+// and runs one App in its main logical core. The engine is the app's
+// FpgaPipelineSpec — parallel workers (LaKe's PEs) behind a 300 ns
+// classifier hop. Power is tracked per module in a PowerLedger calibrated
+// from §5 of the paper:
 //   - shell (PHYs, arbiters)            9.5 W
 //   - PCIe & DMA                        1.5 W   -> reference NIC 11 W DC
 //   - app logic                         per app (LaKe 2.2 W incl. 5 PEs)
@@ -15,20 +17,14 @@
 #ifndef INCOD_SRC_DEVICE_FPGA_NIC_H_
 #define INCOD_SRC_DEVICE_FPGA_NIC_H_
 
-#include <deque>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "src/device/fpga_app.h"
-#include "src/device/offload_target.h"
-#include "src/net/link.h"
-#include "src/net/packet.h"
+#include "src/app/app.h"
+#include "src/device/offload_nic.h"
 #include "src/power/ledger.h"
 #include "src/power/psu.h"
 #include "src/sim/simulation.h"
-#include "src/stats/counters.h"
-#include "src/stats/timeseries.h"
 
 namespace incod {
 
@@ -42,73 +38,36 @@ constexpr double kLogicStaticFraction = 0.6;  // Clock gating keeps static power
 constexpr double kMemResetFraction = 0.6;     // Reset saves 40 % (§5.1).
 constexpr double kStandaloneOverheadWatts = 1.5;  // Fan + management.
 constexpr double kStandalonePsuRatedWatts = 150.0;
+// Packet classifier to app core.
+constexpr SimDuration kFpgaClassifierLatency = Nanoseconds(300);
 
 struct FpgaNicConfig {
   std::string name = "netfpga";
   NodeId host_node = 1;     // Address of the host behind this NIC.
   NodeId device_node = 0;   // Optional address of the device itself (0: none).
   bool standalone = false;  // Hostless deployment: adds PSU + enclosure.
-  SimDuration classifier_latency = Nanoseconds(300);
-  SimDuration rate_window = Milliseconds(100);  // For utilization/dyn power.
 };
 
-class FpgaNic : public PacketSink,
-                public PowerSource,
-                public OffloadTarget,
-                public AppContext,
-                public FlowListener {
+class FpgaNic : public OffloadNic {
  public:
   FpgaNic(Simulation& sim, FpgaNicConfig config);
 
-  // Installs the application core (not owned). Any App supporting the
-  // FPGA-NIC placement works; legacy FpgaApp subclasses additionally get
-  // their FpgaNic back-pointer set. Re-programming the FPGA at runtime is
-  // out of scope (the paper keeps the app "programmed but inactive" to
-  // avoid a traffic halt, §9.2).
+  // Installs the application core (not owned): any App supporting the
+  // FPGA-NIC placement, at most one. Throws, leaving the board unchanged,
+  // for a second app, an app whose pipeline has no worker, or one whose
+  // power modules repeat a name already on the board or in its own profile.
+  // Re-programming the FPGA at runtime is out of scope (the paper keeps the
+  // app "programmed but inactive" to avoid a traffic halt, §9.2).
   void InstallApp(App* app);
-  App* app() const { return app_; }
-
-  // --- AppContext (the narrow surface the installed app talks through) ---
-  Simulation& sim() override { return sim_; }
-  PlacementKind placement() const override { return PlacementKind::kFpgaNic; }
-  NodeId self_node() const override { return config_.device_node; }
-  void Reply(Packet packet) override { TransmitToNetwork(std::move(packet)); }
-  void Punt(Packet packet) override { DeliverToHost(std::move(packet)); }
-
-  // Attach the network-side and host-side links (both must have this device
-  // as one endpoint).
-  void SetNetworkLink(Link* link) { net_link_ = link; }
-  void SetHostLink(Link* link) {
-    host_link_ = link;
-    if (link != nullptr && link->config().flow.pfc) {
-      link->SetFlowListener(this, this);
-    }
-  }
-
-  // FlowListener: the PCIe (host) direction backed up — the host stopped
-  // draining — so propagate the pause out the network link toward the ToR.
-  void OnLinkCongestion(Link* link, bool congested) override;
-  uint64_t pause_propagations() const { return pause_propagations_; }
 
   // --- Runtime controls (the knobs of §5.1/§9.2, OffloadTarget surface) ---
   // When active, matching packets are processed in the app core; when
-  // inactive, everything passes through to the host.
+  // inactive, everything passes through to the host. Activating a board
+  // with no app installed throws.
   void SetAppActive(bool active) override;
-  bool app_active() const override { return app_active_; }
-  // Clock-gates the app logic while inactive.
-  void SetClockGating(bool enabled) override;
-  bool clock_gating() const override { return clock_gating_; }
-  // Holds external memory interfaces in reset while inactive.
-  void SetMemoryReset(bool enabled) override;
-  bool memory_reset() const override { return memory_reset_; }
   // Permanently removes a module from the design (power gating / rebuild
   // without the module). Used by the Figure 4 ablations.
   void PowerGateModule(const std::string& module);
-  // Models FPGA (partial) reconfiguration: while reprogramming, the device
-  // forwards nothing — "a momentary traffic halt" (§9.2). All traffic in
-  // either direction is dropped.
-  void SetReprogramming(bool reprogramming) override;
-  bool reprogramming() const override { return reprogramming_; }
   // Reprogram-policy parking: the app core is not resident, so every module
   // beyond the always-on shell/PCIe/memory interfaces draws nothing.
   void PowerGateParkedApp() override;
@@ -120,78 +79,27 @@ class FpgaNic : public PacketSink,
                                /*supports_memory_reset=*/true,
                                /*supports_reprogramming=*/true};
   }
-  double OffloadPowerWatts() const override { return PowerWatts(); }
-  double OffloadCapacityPps() const override { return CapacityPps(); }
-  // Packets (and pipeline completions) discarded because the app engine was
-  // killed by a fault. The shell keeps forwarding — only app work dies.
-  uint64_t dead_dropped() const override { return dead_dropped_.value(); }
-
-  // --- Data path ---
-  void Receive(Packet packet) override;
-  std::string SinkName() const override { return config_.name; }
-  // Sends a packet out the network port (used by apps for replies).
-  void TransmitToNetwork(Packet packet);
-  // Punts a packet to the host across PCIe/DMA.
-  void DeliverToHost(Packet packet);
 
   // --- Power ---
   // DC watts drawn from the host's PSU (or, standalone, from its own PSU:
   // then this is wall watts including PSU loss and enclosure overhead).
   double PowerWatts() const override;
-  std::string PowerName() const override { return config_.name; }
   PowerLedger& ledger() { return ledger_; }
   const PowerLedger& ledger() const { return ledger_; }
-  // Pipeline utilization in [0,1] over the trailing rate window.
-  double Utilization() const;
-
-  // --- Counters ---
-  uint64_t processed_in_hardware() const { return hw_processed_.value(); }
-  uint64_t delivered_to_host() const { return to_host_.value(); }
-  uint64_t dropped() const { return dropped_.value(); }
-  double ProcessedRatePerSecond() const override;
-  // Ingress rate of packets the classifier recognizes as the app's traffic,
-  // counted whether or not the app is active. This is the signal the
-  // network-controlled on-demand controller averages (§9.1).
-  double AppIngressRatePerSecond() const override;
-  uint64_t app_ingress_packets() const override { return app_ingress_.value(); }
 
   const FpgaNicConfig& config() const { return config_; }
 
  private:
-  struct Worker {
-    SimTime busy_until = 0;
-  };
+  // Clock gating and memory reset act on the module ledger.
+  void OnParkStateChanged() override;
 
-  void AdmitToPipeline(Packet packet);
-  void UpdateLogicStates();
-  double CapacityPps() const;
-
-  Simulation& sim_;
   FpgaNicConfig config_;
   PowerLedger ledger_;
   PsuModel standalone_psu_{kStandalonePsuRatedWatts};
-  Link* net_link_ = nullptr;
-  Link* host_link_ = nullptr;
-  uint64_t pause_propagations_ = 0;
-  App* app_ = nullptr;
-  OffloadPlacementProfile profile_{};
-  FpgaPipelineSpec pipeline_{};
-  std::vector<Worker> workers_;
-  size_t queued_ = 0;
-  bool app_active_ = false;
-  bool clock_gating_ = false;
-  bool memory_reset_ = false;
-  bool reprogramming_ = false;
+  double dynamic_watts_at_capacity_ = 0;
   std::vector<std::string> app_logic_modules_;
   std::vector<std::string> app_memory_modules_;
   std::vector<std::string> power_gated_;
-  mutable SlidingWindowRate processed_rate_;
-  mutable SlidingWindowRate app_ingress_rate_;
-  Counter app_ingress_;
-  Counter hw_processed_;
-  Counter to_host_;
-  Counter dropped_;
-  Counter dead_dropped_;
 };
 
 }  // namespace incod

@@ -48,14 +48,18 @@ SmartNicPreset SmartNicPresetByName(const std::string& name) {
 // ---------------------------------------------------------------------------
 
 SmartNic::SmartNic(Simulation& sim, SmartNicPreset preset, SmartNicDeviceConfig config)
-    : sim_(sim),
+    : OffloadNic(sim, config.name, PlacementKind::kSmartNic, config.host_node,
+                 config.device_node),
       preset_(std::move(preset)),
-      config_(std::move(config)),
-      processed_rate_(config_.rate_window),
-      app_ingress_rate_(config_.rate_window) {
+      config_(std::move(config)) {
   if (preset_.peak_mpps <= 0) {
     throw std::invalid_argument("SmartNic: preset needs peak_mpps > 0");
   }
+  OffloadEngineModel engine;
+  engine.completion_latency = kSmartNicEngineLatency;
+  engine.queue_capacity = kSmartNicQueueCapacity;
+  engine.peak_pps = preset_.peak_mpps * 1e6;
+  SetEngine(engine);
 }
 
 int SmartNic::AppSlotCapacity() const {
@@ -63,13 +67,7 @@ int SmartNic::AppSlotCapacity() const {
 }
 
 void SmartNic::InstallApp(App* app) {
-  if (app == nullptr) {
-    throw std::invalid_argument("SmartNic::InstallApp: null app");
-  }
-  if (!app->SupportsPlacement(PlacementKind::kSmartNic)) {
-    throw std::invalid_argument("SmartNic: " + app->AppName() +
-                                " does not support the SmartNIC placement");
-  }
+  CheckInstallable(app);
   const SmartNicPlacementProfile profile = app->OffloadProfile().smartnic;
   const double fraction = profile.MppsFractionFor(preset_.arch);
   if (fraction <= 0) {
@@ -77,24 +75,19 @@ void SmartNic::InstallApp(App* app) {
                                 " firmware does not run on a " +
                                 SmartNicArchName(preset_.arch) + " engine");
   }
+  if (profile.resource_slots < 1) {
+    throw std::invalid_argument("SmartNic: " + app->AppName() +
+                                " needs >= 1 resource slot");
+  }
   if (slots_used_ + profile.resource_slots > AppSlotCapacity()) {
     throw std::invalid_argument(
         "SmartNic: " + preset_.name + " resource wall — " + app->AppName() +
         " needs " + std::to_string(profile.resource_slots) + " slots, " +
         std::to_string(AppSlotCapacity() - slots_used_) + " free");
   }
-  HostedApp hosted;
-  hosted.app = app;
-  hosted.capacity_pps = preset_.peak_mpps * 1e6 * fraction;
-  hosted.service = static_cast<SimDuration>(1e9 / hosted.capacity_pps);
   slots_used_ += profile.resource_slots;
-  app->BindContext(this);
-  apps_.push_back(hosted);
-  if (app_active_) {
-    // Late install onto a live engine: the app must see the same activation
-    // its already-installed peers received.
-    app->OnActivate();
-  }
+  const double capacity_pps = preset_.peak_mpps * 1e6 * fraction;
+  AddApp(app, static_cast<SimDuration>(1e9 / capacity_pps), capacity_pps);
 }
 
 std::string SmartNic::TargetName() const {
@@ -112,252 +105,31 @@ OffloadTargetTraits SmartNic::Traits() const {
   return traits;
 }
 
-void SmartNic::SetAppActive(bool active) {
-  const bool was_active = app_active_;
-  app_active_ = active;
-  if (active) {
-    engine_power_gated_ = false;  // Waking restores the engine.
-  }
-  if (was_active == active) {
-    return;
-  }
-  for (HostedApp& hosted : apps_) {
-    if (active) {
-      hosted.app->OnActivate();
-    } else {
-      hosted.app->OnDeactivate();
-    }
-  }
-}
-
-void SmartNic::SetClockGating(bool enabled) { clock_gating_ = enabled; }
-
-void SmartNic::SetMemoryReset(bool enabled) {
-  const bool entering_reset = enabled && !memory_reset_;
-  memory_reset_ = enabled;
-  if (entering_reset) {
-    // Mirrors FpgaNic: entering reset loses the apps' on-board state, so a
-    // gated-park shift home really leaves the next cold shift cold.
-    for (HostedApp& hosted : apps_) {
-      hosted.app->OnMemoryReset();
-    }
-  }
-}
-
-void SmartNic::SetReprogramming(bool reprogramming) {
-  if (reprogramming && !Traits().supports_reprogramming) {
-    return;  // Fixed-function engine: nothing to reprogram.
-  }
-  reprogramming_ = reprogramming;
-}
-
 void SmartNic::PowerGateParkedApp() {
   if (!Traits().supports_reprogramming) {
     // Fixed-function engines have no bitstream to remove: the deepest park
     // the silicon offers is clock-gating the engine.
-    clock_gating_ = true;
+    SetClockGating(true);
     return;
   }
   engine_power_gated_ = true;
   // The firmware is no longer resident: hosted apps lose on-board state.
-  for (HostedApp& hosted : apps_) {
-    hosted.app->OnMemoryReset();
-  }
-}
-
-int SmartNic::ClaimingApp(const Packet& packet) const {
-  for (size_t i = 0; i < apps_.size(); ++i) {
-    if (apps_[i].app->Matches(packet)) {
-      return static_cast<int>(i);
-    }
-  }
-  return -1;
-}
-
-void SmartNic::Receive(Packet packet) {
-  if (reprogramming_) {
-    dropped_.Increment();  // "A momentary traffic halt" (§9.2).
-    return;
-  }
-  if (packet.src == config_.host_node) {
-    // Host egress: active apps observe their protocol on the way out
-    // (LaKe-style fill from host replies after a miss).
-    if (app_active_ && !engine_dead()) {
-      for (HostedApp& hosted : apps_) {
-        if (hosted.app->Matches(packet)) {
-          hosted.app->OnHostEgress(*this, packet);
-        }
-      }
-    }
-    TransmitToNetwork(std::move(packet));
-    return;
-  }
-  if (!apps_.empty()) {
-    const int claimed = ClaimingApp(packet);
-    if (claimed >= 0) {
-      app_ingress_.Increment();
-      app_ingress_rate_.RecordEvent(sim_.Now());
-      if (app_active_ && !engine_power_gated_) {
-        if (engine_dead()) {
-          // The engine died with the classifier still steering into it:
-          // claimed traffic is lost until recovery re-places the app.
-          dead_dropped_.Increment();
-          return;
-        }
-        AdmitToEngine(static_cast<size_t>(claimed), std::move(packet));
-        return;
-      }
-    }
-    DeliverToHost(std::move(packet));
-    return;
-  }
-  const bool claimed = config_.offload_proto != AppProto::kRaw &&
-                       packet.proto == config_.offload_proto;
-  if (claimed) {
-    app_ingress_.Increment();
-    app_ingress_rate_.RecordEvent(sim_.Now());
-  }
-  if (!claimed || !app_active_ || handler_ == nullptr) {
-    DeliverToHost(std::move(packet));
-    return;
-  }
-  if (engine_dead()) {
-    dead_dropped_.Increment();
-    return;
-  }
-  // Legacy handler firmware runs at the preset's full peak rate.
-  const SimDuration service = static_cast<SimDuration>(1e9 / (preset_.peak_mpps * 1e6));
-  const std::optional<SimTime> done = ReserveEngineSlot(service);
-  if (!done.has_value()) {
-    return;
-  }
-  auto process = [this, pkt = std::move(packet)]() mutable {
-    if (engine_dead()) {
-      dead_dropped_.Increment();
-      return;
-    }
-    processed_.Increment();
-    processed_rate_.RecordEvent(sim_.Now());
-    auto reply = handler_(pkt);
-    if (reply.has_value()) {
-      TransmitToNetwork(std::move(*reply));
-    } else {
-      DeliverToHost(std::move(pkt));
-    }
-  };
-  static_assert(sizeof(process) <= InlineEvent::kInlineCapacity,
-                "SmartNic processing events must stay inline");
-  sim_.ScheduleAt(*done, std::move(process));
-}
-
-std::optional<SimTime> SmartNic::ReserveEngineSlot(SimDuration service) {
-  // One serialization point for everything the engine runs (hosted apps and
-  // legacy handler firmware share it): next free slot at `service` pacing,
-  // drop when the implied backlog overflows the input queue.
-  const SimTime now = sim_.Now();
-  const SimTime start = std::max(now, busy_until_);
-  const double backlog =
-      static_cast<double>(start - now) /
-      static_cast<double>(std::max<SimDuration>(service, 1));
-  if (backlog > static_cast<double>(config_.queue_capacity)) {
-    dropped_.Increment();
-    return std::nullopt;
-  }
-  busy_until_ = start + service;
-  return start + service + config_.processing_latency;
-}
-
-void SmartNic::AdmitToEngine(size_t app_index, Packet packet) {
-  // Each packet is timed at its app's per-arch service interval.
-  const std::optional<SimTime> done = ReserveEngineSlot(apps_[app_index].service);
-  if (!done.has_value()) {
-    return;
-  }
-  auto process = [this, app_index, pkt = std::move(packet)]() mutable {
-    if (engine_dead()) {
-      // Killed while this packet sat in the engine queue: the scheduled
-      // completion must not run firmware on dead hardware.
-      dead_dropped_.Increment();
-      return;
-    }
-    processed_.Increment();
-    processed_rate_.RecordEvent(sim_.Now());
-    apps_[app_index].app->HandlePacket(*this, std::move(pkt));
-  };
-  static_assert(sizeof(process) <= InlineEvent::kInlineCapacity,
-                "SmartNic engine events must stay inline");
-  sim_.ScheduleAt(*done, std::move(process));
-}
-
-void SmartNic::OnLinkCongestion(Link* link, bool congested) {
-  if (link != host_link_ || net_link_ == nullptr || !net_link_->config().flow.pfc) {
-    return;
-  }
-  if (congested) {
-    ++pause_propagations_;
-  }
-  net_link_->PauseUpstream(this, congested);
-}
-
-void SmartNic::TransmitToNetwork(Packet packet) {
-  if (net_link_ == nullptr) {
-    throw std::logic_error("SmartNic: no network link");
-  }
-  net_link_->Send(this, std::move(packet));
-}
-
-void SmartNic::DeliverToHost(Packet packet) {
-  if (host_link_ == nullptr) {
-    dropped_.Increment();
-    return;
-  }
-  to_host_.Increment();
-  host_link_->Send(this, std::move(packet));
-}
-
-double SmartNic::Utilization() const {
-  // Busy fraction of the engine as provisioned: hosted firmware may sustain
-  // only a per-arch fraction of the preset's peak, and saturating *that*
-  // ceiling is 100 % utilization (keeps PowerWatts on the same envelope
-  // MakeSmartNicRatePower charges the rack ledger).
-  const double cap = OffloadCapacityPps();
-  return std::min(1.0, processed_rate_.RatePerSecond(sim_.Now()) / cap);
-}
-
-double SmartNic::ProcessedRatePerSecond() const {
-  return processed_rate_.RatePerSecond(sim_.Now());
-}
-
-double SmartNic::AppIngressRatePerSecond() const {
-  return app_ingress_rate_.RatePerSecond(sim_.Now());
-}
-
-double SmartNic::OffloadCapacityPps() const {
-  if (apps_.empty()) {
-    return preset_.peak_mpps * 1e6;
-  }
-  // Hosted apps share one engine: the binding ceiling is the slowest
-  // installed firmware's.
-  double capacity = preset_.peak_mpps * 1e6;
-  for (const HostedApp& hosted : apps_) {
-    capacity = std::min(capacity, hosted.capacity_pps);
-  }
-  return capacity;
+  ResetAppMemories();
 }
 
 double SmartNic::PowerWatts() const {
-  const double engine_idle = preset_.idle_watts * config_.offload_engine_fraction;
+  const double engine_idle = preset_.idle_watts * kSmartNicEngineFraction;
   if (engine_dead()) {
     // A dead engine draws nothing beyond the base NIC datapath.
     return preset_.idle_watts - engine_idle;
   }
-  if (app_active_) {
+  if (app_active()) {
     return preset_.idle_watts + (preset_.max_watts - preset_.idle_watts) * Utilization();
   }
   if (engine_power_gated_) {
     return preset_.idle_watts - engine_idle;
   }
-  if (clock_gating_) {
+  if (clock_gating()) {
     // Mirror §5.1: clock gating keeps the engine's static ~60 %.
     return preset_.idle_watts - 0.4 * engine_idle;
   }

@@ -9,28 +9,23 @@
 // layer can place workloads on SmartNICs exactly as it does on the NetFPGA
 // or a switch ASIC.
 //
-// The device is also an application substrate: it implements AppContext and
-// hosts unified Apps (SmartNicHostedApp wrappers via the AppRegistry's
-// kSmartNic factories) on its offload engine. Each hosted app's firmware is
-// timed at the preset's peak Mpps scaled by the app's per-arch fraction,
-// and occupies resource slots against a preset-derived budget — the §10
-// "resource wall" that caps how many apps a SoC board can run at once.
+// The device is an OffloadNic (offload_nic.h), the same bump-in-the-wire
+// datapath as the FPGA NIC, and hosts the same unified Apps (LaKe, Emu DNS,
+// P4xos advertise both placements). Its engine is one server with a 2 µs
+// completion latency and a 1024-packet queue. Each app's firmware is timed
+// at the preset's peak Mpps scaled by the app's per-arch fraction
+// (SmartNicPlacementProfile), and occupies resource slots against a
+// preset-derived budget — the §10 "resource wall" that caps how many apps a
+// SoC board can run at once.
 #ifndef INCOD_SRC_DEVICE_SMARTNIC_H_
 #define INCOD_SRC_DEVICE_SMARTNIC_H_
 
-#include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/app/app.h"
-#include "src/device/offload_target.h"
-#include "src/net/link.h"
-#include "src/net/packet.h"
-#include "src/power/power_source.h"
+#include "src/device/offload_nic.h"
 #include "src/sim/simulation.h"
-#include "src/stats/counters.h"
-#include "src/stats/timeseries.h"
 
 namespace incod {
 
@@ -60,158 +55,56 @@ SmartNicPreset SmartNicPresetByName(const std::string& name);
 // Behavioral SmartNIC: a preset brought to life as a datapath + OffloadTarget.
 // ---------------------------------------------------------------------------
 
+// Engine constants shared by every preset.
+constexpr SimDuration kSmartNicEngineLatency = Microseconds(2);  // SoC/ASIC path.
+constexpr size_t kSmartNicQueueCapacity = 1024;
+// Fraction of the preset's idle watts belonging to the offload engine
+// (cores / FPGA region), as opposed to the base NIC datapath. Clock gating
+// the parked engine saves 40 % of this share (mirroring §5.1); power gating
+// it (reprogram-style parking) saves all of it.
+constexpr double kSmartNicEngineFraction = 0.3;
+
 struct SmartNicDeviceConfig {
   std::string name = "smartnic";
   NodeId host_node = 1;
   // Optional address of the board itself (0: none); hosted apps reply from
   // it when set.
   NodeId device_node = 0;
-  // Which application traffic the offload firmware claims when driven
-  // through the legacy handler path (hosted Apps claim via Matches()).
-  AppProto offload_proto = AppProto::kRaw;
-  SimDuration processing_latency = Microseconds(2);  // SoC/ASIC path latency.
-  SimDuration rate_window = Milliseconds(100);
-  size_t queue_capacity = 1024;
-  // Fraction of the preset's idle watts belonging to the offload engine
-  // (cores / FPGA region), as opposed to the base NIC datapath. Clock
-  // gating the parked engine saves 40 % of this share (mirroring §5.1);
-  // power gating it (reprogram-style parking) saves all of it.
-  double offload_engine_fraction = 0.3;
 };
 
-// The offloaded application's firmware: builds the reply for a claimed
-// request, or returns nullopt to punt the packet to the host. Legacy
-// surface predating the unified App contract; InstallApp supersedes it.
-using SmartNicHandler = std::function<std::optional<Packet>(const Packet&)>;
-
-class SmartNic : public PacketSink,
-                 public PowerSource,
-                 public OffloadTarget,
-                 public AppContext,
-                 public FlowListener {
+class SmartNic : public OffloadNic {
  public:
   SmartNic(Simulation& sim, SmartNicPreset preset, SmartNicDeviceConfig config);
 
-  // Installs the offload firmware (what the engine does with claimed
-  // packets). Without a handler or hosted apps, claimed packets are counted
-  // and punted.
-  void SetHandler(SmartNicHandler handler) { handler_ = std::move(handler); }
-
   // Installs a unified App (not owned) on the offload engine. The app must
   // support the SmartNIC placement; its per-arch profile sets the firmware's
-  // Mpps ceiling and slot footprint. Throws when the board's slot budget —
-  // the §10 resource wall — is exhausted.
+  // Mpps ceiling and slot footprint. Throws, leaving the board unchanged,
+  // when the firmware does not run on this arch, claims no slot, or the
+  // board's slot budget — the §10 resource wall — is exhausted.
   void InstallApp(App* app);
-  size_t app_count() const { return apps_.size(); }
-  App* app(size_t index = 0) const {
-    return index < apps_.size() ? apps_[index].app : nullptr;
-  }
   // Engine slots this board offers: SoC-class (non-scalable) boards hit the
   // resource wall after kSocAppSlots; scalable silicon fits kScalableAppSlots.
   int AppSlotCapacity() const;
   int app_slots_used() const { return slots_used_; }
 
-  void SetNetworkLink(Link* link) { net_link_ = link; }
-  void SetHostLink(Link* link) {
-    host_link_ = link;
-    if (link != nullptr && link->config().flow.pfc) {
-      link->SetFlowListener(this, this);
-    }
-  }
-
-  // FlowListener: PCIe backlog toward the host crossed a watermark —
-  // propagate the pause out to the network side.
-  void OnLinkCongestion(Link* link, bool congested) override;
-  uint64_t pause_propagations() const { return pause_propagations_; }
-
-  // --- AppContext (the narrow surface hosted apps talk through) ---
-  Simulation& sim() override { return sim_; }
-  PlacementKind placement() const override { return PlacementKind::kSmartNic; }
-  NodeId self_node() const override { return config_.device_node; }
-  void Reply(Packet packet) override { TransmitToNetwork(std::move(packet)); }
-  void Punt(Packet packet) override { DeliverToHost(std::move(packet)); }
-
-  // --- Data path ---
-  void Receive(Packet packet) override;
-  std::string SinkName() const override { return config_.name; }
-  void TransmitToNetwork(Packet packet);
-  void DeliverToHost(Packet packet);
-
   // --- OffloadTarget ---
   std::string TargetName() const override;
+  // Only FPGA-bearing boards can be (partially) reconfigured at runtime.
   OffloadTargetTraits Traits() const override;
-  void SetAppActive(bool active) override;
-  bool app_active() const override { return app_active_; }
-  void SetClockGating(bool enabled) override;
-  bool clock_gating() const override { return clock_gating_; }
-  // Holds the engine's memories in reset while parked: hosted apps lose
-  // their on-board state on entry (LaKe re-warms after a gated park, §9.2).
-  void SetMemoryReset(bool enabled) override;
-  bool memory_reset() const override { return memory_reset_; }
-  void SetReprogramming(bool reprogramming) override;
-  bool reprogramming() const override { return reprogramming_; }
   void PowerGateParkedApp() override;
-  double AppIngressRatePerSecond() const override;
-  uint64_t app_ingress_packets() const override { return app_ingress_.value(); }
-  double ProcessedRatePerSecond() const override;
-  double OffloadPowerWatts() const override { return PowerWatts(); }
-  double OffloadCapacityPps() const override;
-  // Packets (and engine completions) discarded because the offload engine
-  // was killed by a fault. The base NIC datapath keeps forwarding.
-  uint64_t dead_dropped() const override { return dead_dropped_.value(); }
 
   // --- Power ---
   // idle + (max - idle) * utilization while serving; parked savings depend
   // on the engine share and park depth.
   double PowerWatts() const override;
-  std::string PowerName() const override { return config_.name; }
-  double Utilization() const;
-
-  uint64_t processed_in_hardware() const { return processed_.value(); }
-  uint64_t delivered_to_host() const { return to_host_.value(); }
-  uint64_t dropped() const { return dropped_.value(); }
 
   const SmartNicPreset& preset() const { return preset_; }
   const SmartNicDeviceConfig& config() const { return config_; }
 
  private:
-  struct HostedApp {
-    App* app = nullptr;
-    // Engine initiation interval derived from the preset's peak scaled by
-    // the app's per-arch Mpps fraction.
-    SimDuration service = 0;
-    double capacity_pps = 0;
-  };
-
-  // First installed app claiming the packet (-1: none).
-  int ClaimingApp(const Packet& packet) const;
-  // Books the engine's next free slot at `service` pacing; returns the
-  // completion time, or nullopt (counted drop) on input-queue overflow.
-  std::optional<SimTime> ReserveEngineSlot(SimDuration service);
-  void AdmitToEngine(size_t app_index, Packet packet);
-
-  Simulation& sim_;
   SmartNicPreset preset_;
   SmartNicDeviceConfig config_;
-  SmartNicHandler handler_;
-  std::vector<HostedApp> apps_;
   int slots_used_ = 0;
-  Link* net_link_ = nullptr;
-  Link* host_link_ = nullptr;
-  uint64_t pause_propagations_ = 0;
-  SimTime busy_until_ = 0;
-  bool app_active_ = false;
-  bool clock_gating_ = false;
-  bool memory_reset_ = false;
-  bool engine_power_gated_ = false;
-  bool reprogramming_ = false;
-  mutable SlidingWindowRate processed_rate_;
-  mutable SlidingWindowRate app_ingress_rate_;
-  Counter app_ingress_;
-  Counter processed_;
-  Counter to_host_;
-  Counter dropped_;
-  Counter dead_dropped_;
 };
 
 }  // namespace incod

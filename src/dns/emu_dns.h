@@ -44,7 +44,7 @@ class EmuDns : public App {
   AppProto proto() const override { return AppProto::kDns; }
   std::string AppName() const override { return "emu-dns"; }
   bool SupportsPlacement(PlacementKind placement) const override {
-    return placement == PlacementKind::kFpgaNic;
+    return placement == PlacementKind::kFpgaNic || placement == PlacementKind::kSmartNic;
   }
 
   std::vector<ModulePowerSpec> PowerModules() const;
@@ -54,6 +54,7 @@ class EmuDns : public App {
     profile.pipeline = PipelineSpec();
     profile.power_modules = PowerModules();
     profile.dynamic_watts_at_capacity = 0.5;
+    profile.smartnic.soc_mpps_fraction = 0.5;  // SoC cores parse slowly (§10).
     return profile;
   }
 

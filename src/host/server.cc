@@ -38,9 +38,6 @@ void Server::BindApp(App* app) {
   bound->threads.resize(static_cast<size_t>(threads));
   apps_.push_back(std::move(bound));
   app->BindContext(this);
-  if (auto* legacy = dynamic_cast<SoftwareApp*>(app)) {
-    legacy->set_server(this);
-  }
 }
 
 App* Server::AppFor(AppProto proto) const {

@@ -1,7 +1,7 @@
 // Host server model.
 //
-// A Server executes bound SoftwareApps on a fixed set of cores using a
-// per-thread FIFO run queue (UDP drop-tail on overflow), tracks core
+// A Server executes bound host-placement Apps on a fixed set of cores using
+// a per-thread FIFO run queue (UDP drop-tail on overflow), tracks core
 // utilization over a sampling period, and reports wall power through a
 // calibrated CpuPowerModel curve. The network stack is configurable between
 // a kernel path and a DPDK-style busy-polling path, reproducing the paper's
@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "src/app/app.h"
-#include "src/host/software_app.h"
 #include "src/net/flow_control.h"
 #include "src/net/link.h"
 #include "src/net/packet.h"
@@ -74,9 +73,9 @@ class Server : public PacketSink, public PowerSource, public AppContext {
   Server(Simulation& sim, ServerConfig config);
 
   // Binds an application (not owned). Any App supporting the host placement
-  // works; legacy SoftwareApp subclasses additionally get their Server
-  // back-pointer set. Several apps may share a protocol if they declare
-  // distinct service addresses in their host profile.
+  // works; it replies through its AppContext (this server). Several apps
+  // may share a protocol if they declare distinct service addresses in
+  // their host profile.
   void BindApp(App* app);
   // First app bound for the protocol (nullptr if none).
   App* AppFor(AppProto proto) const;

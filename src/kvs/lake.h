@@ -48,7 +48,7 @@ class LakeCache : public App {
   AppProto proto() const override { return AppProto::kKv; }
   std::string AppName() const override { return "lake"; }
   bool SupportsPlacement(PlacementKind placement) const override {
-    return placement == PlacementKind::kFpgaNic;
+    return placement == PlacementKind::kFpgaNic || placement == PlacementKind::kSmartNic;
   }
 
   std::vector<ModulePowerSpec> PowerModules() const;
@@ -58,6 +58,13 @@ class LakeCache : public App {
     profile.pipeline = PipelineSpec();
     profile.power_modules = PowerModules();
     profile.dynamic_watts_at_capacity = 1.0;
+    // SmartNIC firmware (§10): FPGA regions run the pipeline as-is,
+    // fixed-function ASIC engines lose some flexibility-dependent speed,
+    // SoC cores parse anything but slowly. The two cache levels take two
+    // engine slots, so a resource-walled SoC board fits exactly one KVS.
+    profile.smartnic.asic_mpps_fraction = 0.75;
+    profile.smartnic.soc_mpps_fraction = 0.35;
+    profile.smartnic.resource_slots = 2;
     return profile;
   }
 

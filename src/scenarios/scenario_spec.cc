@@ -277,16 +277,15 @@ void ScenarioTestbed::BuildFaults() {
   if (server_ != nullptr) {
     faults_->RegisterNode(server_->SinkName(), server_);
   }
-  if (fpga_ != nullptr) {
-    // Both names mean engine death: TargetName ("netfpga/app") is what the
-    // orchestrator logs, SinkName ("netfpga") is what specs naturally say.
-    faults_->RegisterTarget(fpga_->TargetName(), fpga_);
-    faults_->RegisterTarget(fpga_->SinkName(), fpga_);
-  }
-  if (smartnic_ != nullptr) {
-    faults_->RegisterTarget(smartnic_->TargetName(), smartnic_);
-    faults_->RegisterTarget(smartnic_->SinkName(), smartnic_);
-  }
+  const auto register_offload_nic = [this](OffloadNic* board) {
+    if (board != nullptr) {
+      // Both names mean engine death: TargetName ("netfpga/app") is what the
+      // orchestrator logs, SinkName ("netfpga") is what specs naturally say.
+      faults_->RegisterTarget(board->TargetName(), board);
+      faults_->RegisterTarget(board->SinkName(), board);
+    }
+  };
+  register_offload_nic(offload_nic());
   if (nic_ != nullptr) {
     faults_->RegisterNode(nic_->SinkName(), nic_);
   }
@@ -298,14 +297,8 @@ void ScenarioTestbed::BuildFaults() {
     if (m.server != nullptr) {
       faults_->RegisterNode(m.server->SinkName(), m.server);
     }
-    if (m.fpga != nullptr) {
-      faults_->RegisterTarget(m.fpga->TargetName(), m.fpga);
-      faults_->RegisterTarget(m.fpga->SinkName(), m.fpga);
-    }
-    if (m.smartnic != nullptr) {
-      faults_->RegisterTarget(m.smartnic->TargetName(), m.smartnic);
-      faults_->RegisterTarget(m.smartnic->SinkName(), m.smartnic);
-    }
+    register_offload_nic(m.fpga);
+    register_offload_nic(m.smartnic);
     if (m.nic != nullptr) {
       faults_->RegisterNode(m.nic->SinkName(), m.nic);
     }
@@ -409,18 +402,17 @@ void ScenarioTestbed::BuildController() {
     return;
   }
   // The classifier flip works against any offload-capable ingress device.
-  OffloadTarget* target = fpga_ != nullptr ? static_cast<OffloadTarget*>(fpga_)
-                                           : static_cast<OffloadTarget*>(smartnic_);
-  if (target == nullptr || offload_app_ == nullptr) {
+  OffloadNic* board = offload_nic();
+  if (board == nullptr || offload_app_ == nullptr) {
     throw std::invalid_argument("ScenarioSpec: controller needs an offloaded app");
   }
   ClassifierMigrator::Options options =
       ClassifierMigrator::Options::FromPolicy(spec_.controller.park_policy);
   options.transfer_state = spec_.controller.transfer_state;
   migrator_ = std::make_unique<ClassifierMigrator>(
-      sim_, *target, options, host_apps_.empty() ? nullptr : host_apps_.front().get(),
-      offload_app_.get());
-  controller_ = std::make_unique<NetworkController>(sim_, *target, *migrator_,
+      sim_, *board, options,
+      host_apps_.empty() ? nullptr : host_apps_.front().get(), offload_app_.get());
+  controller_ = std::make_unique<NetworkController>(sim_, *board, *migrator_,
                                                     spec_.controller.network);
   controller_->Start();
 }
@@ -448,15 +440,14 @@ LoadClient& ScenarioTestbed::AddClient(LoadClientConfig config,
   }
   client_ = builder_.AddLoadClient(std::move(config), std::move(arrival),
                                    std::move(factory));
-  if (fpga_ != nullptr) {
-    builder_.ConnectClient(client_, fpga_, spec_.client_link);
-  } else if (smartnic_ != nullptr) {
-    builder_.ConnectClient(client_, smartnic_, spec_.client_link);
-  } else if (nic_ != nullptr) {
-    builder_.ConnectClient(client_, nic_, spec_.client_link);
-  } else {
+  NicPorts* ingress = offload_nic();
+  if (ingress == nullptr) {
+    ingress = nic_;
+  }
+  if (ingress == nullptr) {
     throw std::logic_error("ScenarioTestbed: no ingress device for the client");
   }
+  builder_.ConnectClient(client_, ingress, spec_.client_link);
   return *client_;
 }
 

@@ -301,6 +301,10 @@ class ScenarioTestbed {
   void BuildFaults();
   // Member env with null shared resources resolved against the spec level.
   AppFactoryEnv ResolveEnv(const AppFactoryEnv& env) const;
+  // The offload board, whichever kind the spec built; null when none.
+  OffloadNic* offload_nic() const {
+    return fpga_ != nullptr ? static_cast<OffloadNic*>(fpga_) : smartnic_;
+  }
 
   Simulation& sim_;
   ScenarioSpec spec_;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <typeinfo>
 #include <vector>
 
 #include <algorithm>
@@ -11,7 +12,6 @@
 #include "src/app/app.h"
 #include "src/app/app_registry.h"
 #include "src/app/app_state.h"
-#include "src/app/smartnic_app.h"
 #include "src/app/switch_app.h"
 #include "src/dns/emu_dns.h"
 #include "src/dns/nsd_server.h"
@@ -275,9 +275,14 @@ TEST(AppRegistryTest, AllAppsBuildOnAllFourPlacements) {
         EXPECT_NE(dynamic_cast<SwitchProgram*>(app.get()), nullptr);
       }
       if (placement == PlacementKind::kSmartNic) {
-        // SmartNIC-placement apps advertise a usable per-arch datapath.
-        auto* hosted = dynamic_cast<SmartNicHostedApp*>(app.get());
-        ASSERT_NE(hosted, nullptr);
+        // SmartNIC-placement apps are the FPGA-NIC implementations
+        // themselves, and advertise a usable per-arch datapath.
+        auto fpga_app = AppRegistry::Global().Create(family.name,
+                                                     PlacementKind::kFpgaNic, env);
+        const App& on_smartnic = *app;
+        const App& on_fpga = *fpga_app;
+        EXPECT_EQ(typeid(on_smartnic), typeid(on_fpga));
+        EXPECT_TRUE(app->SupportsPlacement(PlacementKind::kFpgaNic));
         const SmartNicPlacementProfile profile = app->OffloadProfile().smartnic;
         for (SmartNicArch arch : {SmartNicArch::kFpga, SmartNicArch::kAsic,
                                   SmartNicArch::kAsicPlusFpga, SmartNicArch::kSoc}) {

@@ -3,7 +3,7 @@
 
 #include <memory>
 
-#include "src/app/smartnic_app.h"
+#include "src/app/app_registry.h"
 #include "src/device/conventional_nic.h"
 #include "src/device/fpga_nic.h"
 #include "src/device/smartnic.h"
@@ -23,31 +23,196 @@ class CollectorSink : public PacketSink {
   std::vector<Packet> packets;
 };
 
+// ---- The shared offload-NIC datapath, FPGA NIC and SmartNIC alike ----
+
+template <typename Nic>
+struct OffloadBoard;
+
+template <>
+struct OffloadBoard<FpgaNic> {
+  static constexpr PlacementKind kPlacement = PlacementKind::kFpgaNic;
+  static std::unique_ptr<FpgaNic> Make(Simulation& sim) {
+    FpgaNicConfig config;
+    config.host_node = 1;
+    config.device_node = 50;
+    return std::make_unique<FpgaNic>(sim, config);
+  }
+};
+
+template <>
+struct OffloadBoard<SmartNic> {
+  static constexpr PlacementKind kPlacement = PlacementKind::kSmartNic;
+  static std::unique_ptr<SmartNic> Make(Simulation& sim) {
+    SmartNicDeviceConfig config;
+    config.host_node = 1;
+    config.device_node = 50;
+    return std::make_unique<SmartNic>(sim, SmartNicPresetByName("accelnet-fpga"), config);
+  }
+};
+
+// One board running the registry's "kvs" offload (LaKe) between a network
+// collector and a host collector, both links PFC-capable.
+template <typename Nic>
+class OffloadNicDatapathTest : public ::testing::Test {
+ protected:
+  OffloadNicDatapathTest() : topo(sim), nic(OffloadBoard<Nic>::Make(sim)) {
+    Link::Config pfc;
+    pfc.flow.pfc = true;
+    net_link = topo.Connect(&network, nic.get(), pfc, "net");
+    host_link = topo.Connect(nic.get(), &host, pfc, "host");
+    nic->SetNetworkLink(net_link);
+    nic->SetHostLink(host_link);
+    app = AppRegistry::Global().Create("kvs", OffloadBoard<Nic>::kPlacement,
+                                       AppFactoryEnv{});
+    nic->InstallApp(app.get());
+  }
+
+  Packet Get(uint64_t key) {
+    return MakeKvRequestPacket(/*src=*/100, /*dst=*/1, KvRequest{KvOp::kGet, key, 0},
+                               /*id=*/key, sim.Now());
+  }
+  // The host's GET-hit reply for `key`, on its way out through the board.
+  Packet HostReply(uint64_t key) {
+    return MakeKvResponsePacket(/*src=*/1, /*dst=*/100,
+                                KvResponse{KvOp::kGet, key, true, 64}, /*id=*/key,
+                                sim.Now());
+  }
+
+  Simulation sim;
+  Topology topo;
+  CollectorSink network;
+  CollectorSink host;
+  std::unique_ptr<Nic> nic;
+  std::unique_ptr<App> app;
+  Link* net_link = nullptr;
+  Link* host_link = nullptr;
+};
+
+using OffloadBoards = ::testing::Types<FpgaNic, SmartNic>;
+TYPED_TEST_SUITE(OffloadNicDatapathTest, OffloadBoards);
+
+TYPED_TEST(OffloadNicDatapathTest, InactivePassesClaimedTrafficToHost) {
+  this->nic->Receive(this->Get(1));
+  this->sim.Run();
+  EXPECT_TRUE(this->network.packets.empty());
+  ASSERT_EQ(this->host.packets.size(), 1u);
+  EXPECT_EQ(this->nic->delivered_to_host(), 1u);
+  // Classifier-visible even while parked: the §9.1 controller signal.
+  EXPECT_EQ(this->nic->app_ingress_packets(), 1u);
+  EXPECT_EQ(this->nic->processed_in_hardware(), 0u);
+}
+
+TYPED_TEST(OffloadNicDatapathTest, ReprogrammingDropsBothDirections) {
+  // Parked while the bitstream changes (§9.2), then active: the board drops
+  // traffic either way.
+  this->nic->SetReprogramming(true);
+  uint64_t expected_drops = 0;
+  for (bool active : {false, true}) {
+    this->nic->SetAppActive(active);
+    this->nic->Receive(this->Get(1));  // Network ingress.
+    this->sim.Run();
+    EXPECT_TRUE(this->host.packets.empty()) << "active=" << active;
+    EXPECT_EQ(this->nic->dropped(), ++expected_drops) << "active=" << active;
+    this->nic->Receive(this->HostReply(1));  // Host egress.
+    this->sim.Run();
+    EXPECT_TRUE(this->network.packets.empty()) << "active=" << active;
+    EXPECT_EQ(this->nic->dropped(), ++expected_drops) << "active=" << active;
+  }
+  EXPECT_EQ(this->nic->processed_in_hardware(), 0u);
+  this->nic->SetReprogramming(false);
+  this->nic->Receive(this->Get(1));  // Traffic flows again: a miss, punted.
+  this->sim.Run();
+  EXPECT_EQ(this->host.packets.size(), 1u);
+}
+
+TYPED_TEST(OffloadNicDatapathTest, RelaysHostCongestionPauseOutTheNetLink) {
+  auto* nic = this->nic.get();
+  nic->OnLinkCongestion(this->host_link, true);
+  this->sim.Run();
+  EXPECT_EQ(nic->pause_propagations(), 1u);
+  EXPECT_TRUE(this->net_link->paused(nic));
+  nic->OnLinkCongestion(this->host_link, false);
+  this->sim.Run();
+  EXPECT_FALSE(this->net_link->paused(nic));
+  EXPECT_EQ(nic->pause_propagations(), 1u);  // Resumes are not propagations.
+  // Network-side congestion is the switch's problem: nothing is relayed.
+  nic->OnLinkCongestion(this->net_link, true);
+  this->sim.Run();
+  EXPECT_EQ(nic->pause_propagations(), 1u);
+}
+
+TYPED_TEST(OffloadNicDatapathTest, KilledEngineDropsClaimedAndInFlightWork) {
+  this->nic->SetAppActive(true);
+  // Claimed at t=0; the engine dies at 500 ns, after admission (past the
+  // FPGA's 300 ns classifier hop) and before the completion fires.
+  this->nic->Receive(this->Get(1));
+  this->sim.ScheduleAt(Nanoseconds(500), [this] { this->nic->KillEngine(); });
+  this->sim.Run();
+  EXPECT_EQ(this->nic->dead_dropped(), 1u);
+  EXPECT_EQ(this->nic->processed_in_hardware(), 0u);
+  // Claimed traffic after death is lost, never punted; the rest still
+  // passes through.
+  this->nic->Receive(this->Get(2));
+  Packet raw = this->Get(3);
+  raw.proto = AppProto::kRaw;
+  this->nic->Receive(raw);
+  this->sim.Run();
+  EXPECT_EQ(this->nic->dead_dropped(), 2u);
+  EXPECT_EQ(this->nic->processed_in_hardware(), 0u);
+  ASSERT_EQ(this->host.packets.size(), 1u);
+  EXPECT_EQ(this->host.packets[0].proto, AppProto::kRaw);
+  EXPECT_TRUE(this->network.packets.empty());
+  EXPECT_EQ(this->nic->app_ingress_packets(), 2u);  // The signal survives.
+}
+
+TYPED_TEST(OffloadNicDatapathTest, HostEgressObservedOnlyWhileActive) {
+  // Inactive: the host's reply goes out unobserved, so the next GET misses.
+  this->nic->Receive(this->HostReply(7));
+  this->sim.Run();
+  ASSERT_EQ(this->network.packets.size(), 1u);
+  this->nic->SetAppActive(true);
+  this->nic->Receive(this->Get(7));
+  this->sim.Run();
+  ASSERT_EQ(this->host.packets.size(), 1u);  // Miss: punted.
+  // Active: the reply fills the cache on its way out; the next GET hits.
+  this->nic->Receive(this->HostReply(7));
+  this->sim.Run();
+  ASSERT_EQ(this->network.packets.size(), 2u);
+  this->nic->Receive(this->Get(7));
+  this->sim.Run();
+  EXPECT_EQ(this->host.packets.size(), 1u);
+  ASSERT_EQ(this->network.packets.size(), 3u);
+  EXPECT_TRUE(PayloadAs<KvResponse>(this->network.packets[2]).hit);
+  EXPECT_EQ(this->network.packets[2].src, 50u);  // From the board's address.
+  EXPECT_EQ(this->nic->processed_in_hardware(), 2u);
+}
+
 // Minimal FPGA app that consumes matching packets and echoes to network.
-class EchoFpgaApp : public FpgaApp {
+class EchoFpgaApp : public App {
  public:
   AppProto proto() const override { return AppProto::kKv; }
   std::string AppName() const override { return "echo-hw"; }
-  std::vector<ModulePowerSpec> PowerModules() const override {
-    return {MakeModuleSpec("logic", 2.0, 0.6, 1.0),
-            MakeModuleSpec("dram_if", 4.8, 1.0, 0.6)};
+  bool SupportsPlacement(PlacementKind placement) const override {
+    return placement == PlacementKind::kFpgaNic;
   }
-  double DynamicWattsAtCapacity() const override { return 1.0; }
-  FpgaPipelineSpec PipelineSpec() const override {
-    FpgaPipelineSpec spec;
-    spec.workers = 2;
-    spec.worker_service = Nanoseconds(500);
-    spec.pipeline_latency = Microseconds(1);
-    spec.input_queue_capacity = 8;
-    return spec;
+  OffloadPlacementProfile OffloadProfile() const override {
+    OffloadPlacementProfile profile;
+    profile.power_modules = {MakeModuleSpec("logic", 2.0, 0.6, 1.0),
+                             MakeModuleSpec("dram_if", 4.8, 1.0, 0.6)};
+    profile.dynamic_watts_at_capacity = 1.0;
+    profile.pipeline.workers = 2;
+    profile.pipeline.worker_service = Nanoseconds(500);
+    profile.pipeline.pipeline_latency = Microseconds(1);
+    profile.pipeline.input_queue_capacity = 8;
+    return profile;
   }
-  void Process(Packet packet) override {
+  void HandlePacket(AppContext& ctx, Packet packet) override {
     ++processed;
     Packet reply;
-    reply.src = nic()->config().device_node;
+    reply.src = ctx.self_node();
     reply.dst = packet.src;
     reply.proto = AppProto::kKv;
-    nic()->TransmitToNetwork(reply);
+    ctx.Reply(reply);
   }
   int processed = 0;
 };
@@ -86,16 +251,6 @@ struct FpgaHarness {
   Link* net_link;
   Link* host_link = nullptr;
 };
-
-TEST(FpgaNicTest, InactivePassesThroughToHost) {
-  FpgaHarness h;
-  h.fpga.SetAppActive(false);
-  h.fpga.Receive(h.KvPacket(100, 1));
-  h.sim.Run();
-  EXPECT_EQ(h.host_side.packets.size(), 1u);
-  EXPECT_EQ(h.app.processed, 0);
-  EXPECT_EQ(h.fpga.delivered_to_host(), 1u);
-}
 
 TEST(FpgaNicTest, ActiveProcessesMatchingTraffic) {
   FpgaHarness h;
@@ -218,6 +373,44 @@ TEST(FpgaNicTest, SecondAppInstallRejected) {
   fpga.InstallApp(&a);
   EXPECT_THROW(fpga.InstallApp(&b), std::logic_error);
   EXPECT_THROW(FpgaNic(sim, FpgaNicConfig{}).SetAppActive(true), std::logic_error);
+
+  // A rejected install leaves the board untouched: no app to activate, no
+  // half-built engine behind the classifier.
+  struct NoWorkerApp : EchoFpgaApp {
+    OffloadPlacementProfile OffloadProfile() const override {
+      OffloadPlacementProfile profile = EchoFpgaApp::OffloadProfile();
+      profile.pipeline.workers = 0;
+      return profile;
+    }
+  };
+  FpgaNic bare(sim, FpgaNicConfig{});
+  NoWorkerApp broken;
+  EXPECT_THROW(bare.InstallApp(&broken), std::invalid_argument);
+  EXPECT_EQ(bare.app(), nullptr);
+  EXPECT_EQ(broken.context(), nullptr);
+  EXPECT_THROW(bare.SetAppActive(true), std::logic_error);
+  // A power module that repeats a name, its own or the shell's, is rejected
+  // before anything reaches the ledger.
+  struct DuplicateModuleApp : EchoFpgaApp {
+    explicit DuplicateModuleApp(std::string repeated) : repeated_(std::move(repeated)) {}
+    OffloadPlacementProfile OffloadProfile() const override {
+      OffloadPlacementProfile profile = EchoFpgaApp::OffloadProfile();
+      profile.power_modules.push_back(MakeModuleSpec(repeated_, 1.0, 0.5, 0.5));
+      return profile;
+    }
+    std::string repeated_;
+  };
+  const double bare_watts = bare.PowerWatts();
+  for (const char* repeated : {"logic", "shell"}) {
+    DuplicateModuleApp duplicate(repeated);
+    EXPECT_THROW(bare.InstallApp(&duplicate), std::invalid_argument) << repeated;
+    EXPECT_EQ(bare.app(), nullptr);
+    EXPECT_EQ(duplicate.context(), nullptr);
+    EXPECT_DOUBLE_EQ(bare.PowerWatts(), bare_watts);
+    EXPECT_THROW(bare.SetAppActive(true), std::logic_error);
+  }
+  bare.InstallApp(&b);
+  EXPECT_EQ(bare.app(), &b);
 }
 
 // ---- Switch ASIC ----
@@ -423,16 +616,28 @@ struct SmartNicAppHarness {
   Link host_link;
 };
 
+// LaKe advertising a chosen SmartNIC profile in place of its own.
+class ProfiledLake : public LakeCache {
+ public:
+  explicit ProfiledLake(SmartNicPlacementProfile profile) : profile_(profile) {}
+  OffloadPlacementProfile OffloadProfile() const override {
+    OffloadPlacementProfile profile = LakeCache::OffloadProfile();
+    profile.smartnic = profile_;
+    return profile;
+  }
+
+ private:
+  SmartNicPlacementProfile profile_;
+};
+
 TEST(SmartNicHostingTest, HostedAppServesHitsAndPuntsMisses) {
   SmartNicAppHarness h;
   LakeConfig lake_config;
   lake_config.l1_entries = 64;
-  SmartNicHostedApp app(std::make_unique<LakeCache>(lake_config),
-                        SmartNicPlacementProfile{});
-  h.nic.InstallApp(&app);
-  auto* lake = app.inner_as<LakeCache>();
-  ASSERT_NE(lake, nullptr);
-  lake->WarmFill(0, 10, 64);
+  LakeCache lake(lake_config);
+  h.nic.InstallApp(&lake);
+  ASSERT_EQ(h.nic.app(), &lake);  // The board hosts the implementation itself.
+  lake.WarmFill(0, 10, 64);
   h.nic.SetAppActive(true);
 
   h.nic.Receive(h.Get(3));    // Hit: answered by the engine.
@@ -450,30 +655,16 @@ TEST(SmartNicHostingTest, HostedAppServesHitsAndPuntsMisses) {
   EXPECT_EQ(h.nic.app_ingress_packets(), 2u);
 }
 
-TEST(SmartNicHostingTest, InactiveEnginePassesClaimedTrafficToHost) {
-  SmartNicAppHarness h;
-  SmartNicHostedApp app(std::make_unique<LakeCache>(LakeConfig{}),
-                        SmartNicPlacementProfile{});
-  h.nic.InstallApp(&app);
-  h.nic.Receive(h.Get(1));
-  h.sim.RunUntil(Milliseconds(1));
-  EXPECT_EQ(h.network.packets.size(), 0u);
-  ASSERT_EQ(h.host.packets.size(), 1u);
-  // Classifier-visible even while parked: the §9.1 controller signal.
-  EXPECT_EQ(h.nic.app_ingress_packets(), 1u);
-  EXPECT_EQ(h.nic.processed_in_hardware(), 0u);
-}
-
 TEST(SmartNicHostingTest, PerArchProfileScalesTheEngineCeiling) {
   SmartNicPlacementProfile profile;
   profile.asic_mpps_fraction = 0.5;
   SmartNicAppHarness fpga_board("accelnet-fpga");
-  SmartNicHostedApp on_fpga(std::make_unique<LakeCache>(LakeConfig{}), profile);
+  ProfiledLake on_fpga(profile);
   fpga_board.nic.InstallApp(&on_fpga);
   EXPECT_DOUBLE_EQ(fpga_board.nic.OffloadCapacityPps(), 72e6);
 
   SmartNicAppHarness asic_board("agilio-asic");
-  SmartNicHostedApp on_asic(std::make_unique<LakeCache>(LakeConfig{}), profile);
+  ProfiledLake on_asic(profile);
   asic_board.nic.InstallApp(&on_asic);
   EXPECT_DOUBLE_EQ(asic_board.nic.OffloadCapacityPps(), 0.5 * 120e6);
 }
@@ -485,21 +676,28 @@ TEST(SmartNicHostingTest, SocResourceWallCapsConcurrentApps) {
   EXPECT_EQ(soc.nic.AppSlotCapacity(), 2);
   SmartNicPlacementProfile kvs_profile;
   kvs_profile.resource_slots = 2;
-  SmartNicHostedApp kvs(std::make_unique<LakeCache>(LakeConfig{}), kvs_profile);
+  ProfiledLake kvs(kvs_profile);
   soc.nic.InstallApp(&kvs);
   EXPECT_EQ(soc.nic.app_slots_used(), 2);
-  SmartNicHostedApp second(std::make_unique<LakeCache>(LakeConfig{}),
-                           SmartNicPlacementProfile{});
+  ProfiledLake second(SmartNicPlacementProfile{});
   EXPECT_THROW(soc.nic.InstallApp(&second), std::invalid_argument);
 
   // A scalable board fits both firmwares side by side.
   SmartNicAppHarness fpga_board("accelnet-fpga");
-  SmartNicHostedApp kvs2(std::make_unique<LakeCache>(LakeConfig{}), kvs_profile);
-  SmartNicHostedApp extra(std::make_unique<LakeCache>(LakeConfig{}),
-                          SmartNicPlacementProfile{});
+  ProfiledLake kvs2(kvs_profile);
+  ProfiledLake extra(SmartNicPlacementProfile{});
   fpga_board.nic.InstallApp(&kvs2);
   fpga_board.nic.InstallApp(&extra);
   EXPECT_EQ(fpga_board.nic.app_count(), 2u);
+
+  // Firmware that claims no slot is rejected before the board changes.
+  SmartNicPlacementProfile slotless;
+  slotless.resource_slots = 0;
+  ProfiledLake free_rider(slotless);
+  EXPECT_THROW(fpga_board.nic.InstallApp(&free_rider), std::invalid_argument);
+  EXPECT_EQ(fpga_board.nic.app_count(), 2u);
+  EXPECT_EQ(fpga_board.nic.app_slots_used(), 3);
+  EXPECT_EQ(free_rider.context(), nullptr);
 }
 
 TEST(SmartNicHostingTest, LateInstallOntoLiveEngineActivatesTheApp) {
@@ -509,35 +707,32 @@ TEST(SmartNicHostingTest, LateInstallOntoLiveEngineActivatesTheApp) {
     AppProto proto() const override { return AppProto::kKv; }
     std::string AppName() const override { return "counting"; }
     bool SupportsPlacement(PlacementKind p) const override {
-      return p == PlacementKind::kFpgaNic;
+      return p == PlacementKind::kSmartNic;
     }
     void HandlePacket(AppContext&, Packet) override {}
     void OnActivate() override { ++activations; }
     int activations = 0;
   };
   SmartNicAppHarness h;
-  SmartNicHostedApp early(std::make_unique<CountingApp>(), SmartNicPlacementProfile{});
+  CountingApp early;
   h.nic.InstallApp(&early);
   h.nic.SetAppActive(true);
-  SmartNicHostedApp late(std::make_unique<CountingApp>(), SmartNicPlacementProfile{});
+  CountingApp late;
   h.nic.InstallApp(&late);
-  EXPECT_EQ(early.inner_as<CountingApp>()->activations, 1);
-  EXPECT_EQ(late.inner_as<CountingApp>()->activations, 1);
+  EXPECT_EQ(early.activations, 1);
+  EXPECT_EQ(late.activations, 1);
 }
 
 TEST(SmartNicHostingTest, ReprogramParkWipesOnBoardState) {
   SmartNicAppHarness h("accelnet-fpga");  // Reprogrammable arch.
-  LakeConfig lake_config;
-  SmartNicHostedApp app(std::make_unique<LakeCache>(lake_config),
-                        SmartNicPlacementProfile{});
-  h.nic.InstallApp(&app);
-  auto* lake = app.inner_as<LakeCache>();
-  lake->WarmFill(0, 16, 64);
-  ASSERT_GT(lake->l1().size(), 0u);
+  LakeCache lake;
+  h.nic.InstallApp(&lake);
+  lake.WarmFill(0, 16, 64);
+  ASSERT_GT(lake.l1().size(), 0u);
   h.nic.SetAppActive(false);
   h.nic.PowerGateParkedApp();  // Bitstream removed: on-board state is lost.
-  EXPECT_EQ(lake->l1().size(), 0u);
-  EXPECT_EQ(lake->l2()->size(), 0u);
+  EXPECT_EQ(lake.l1().size(), 0u);
+  EXPECT_EQ(lake.l2()->size(), 0u);
 }
 
 TEST(SmartNicHostingTest, GatedParkMemoryResetWipesOnBoardState) {
@@ -546,23 +741,21 @@ TEST(SmartNicHostingTest, GatedParkMemoryResetWipesOnBoardState) {
   // later cold shift really starts cold.
   SmartNicAppHarness h;
   EXPECT_TRUE(h.nic.Traits().supports_memory_reset);
-  SmartNicHostedApp app(std::make_unique<LakeCache>(LakeConfig{}),
-                        SmartNicPlacementProfile{});
-  h.nic.InstallApp(&app);
-  auto* lake = app.inner_as<LakeCache>();
-  lake->WarmFill(0, 16, 64);
+  LakeCache lake;
+  h.nic.InstallApp(&lake);
+  lake.WarmFill(0, 16, 64);
   h.nic.SetAppActive(false);
   h.nic.SetMemoryReset(true);
   EXPECT_TRUE(h.nic.memory_reset());
-  EXPECT_EQ(lake->l1().size(), 0u);
-  EXPECT_EQ(lake->l2()->size(), 0u);
+  EXPECT_EQ(lake.l1().size(), 0u);
+  EXPECT_EQ(lake.l2()->size(), 0u);
   // Re-entering reset without leaving it does not re-fire the wipe hook.
-  lake->WarmFill(0, 4, 64);
+  lake.WarmFill(0, 4, 64);
   h.nic.SetMemoryReset(true);
-  EXPECT_EQ(lake->l1().size(), 4u);
+  EXPECT_EQ(lake.l1().size(), 4u);
   h.nic.SetMemoryReset(false);
   h.nic.SetMemoryReset(true);
-  EXPECT_EQ(lake->l1().size(), 0u);
+  EXPECT_EQ(lake.l1().size(), 0u);
 }
 
 }  // namespace

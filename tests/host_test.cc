@@ -2,9 +2,10 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 
+#include "src/app/app.h"
 #include "src/host/server.h"
-#include "src/host/software_app.h"
 #include "src/net/link.h"
 #include "src/net/topology.h"
 #include "src/power/cpu_power.h"
@@ -14,7 +15,7 @@ namespace incod {
 namespace {
 
 // Echo app with a fixed CPU cost.
-class EchoApp : public SoftwareApp {
+class EchoApp : public App {
  public:
   EchoApp(AppProto proto, SimDuration cpu_time, int threads,
           std::optional<NodeId> service = std::nullopt)
@@ -22,17 +23,21 @@ class EchoApp : public SoftwareApp {
 
   AppProto proto() const override { return proto_; }
   std::string AppName() const override { return "echo"; }
-  int num_threads() const override { return threads_; }
-  std::optional<NodeId> service_address() const override { return service_; }
+  bool SupportsPlacement(PlacementKind placement) const override {
+    return placement == PlacementKind::kHost;
+  }
+  HostPlacementProfile HostProfile() const override {
+    return HostPlacementProfile{threads_, service_};
+  }
   SimDuration CpuTimePerRequest(const Packet&) const override { return cpu_time_; }
 
-  void Execute(Packet packet) override {
+  void HandlePacket(AppContext&, Packet packet) override {
     ++executed;
     Packet reply;
     reply.dst = packet.src;
     reply.proto = proto_;
     reply.id = packet.id;
-    server()->Transmit(reply);
+    context()->Reply(reply);
   }
 
   int executed = 0;

@@ -33,6 +33,22 @@ struct Collector : PacketSink {
 
 SmartNicPreset AccelNetPreset() { return StandardSmartNicPresets()[0]; }
 
+// Offload firmware that answers every claimed KV request inline.
+struct KvEchoApp : App {
+  AppProto proto() const override { return AppProto::kKv; }
+  std::string AppName() const override { return "kv-echo"; }
+  bool SupportsPlacement(PlacementKind placement) const override {
+    return placement == PlacementKind::kSmartNic;
+  }
+  void HandlePacket(AppContext& ctx, Packet request) override {
+    Packet reply;
+    reply.src = request.dst;
+    reply.dst = request.src;
+    reply.proto = request.proto;
+    ctx.Reply(reply);
+  }
+};
+
 struct SmartNicHarness {
   SmartNicHarness()
       : sim(1),
@@ -42,11 +58,11 @@ struct SmartNicHarness {
     host_link = topo.Connect(&nic, &host);
     nic.SetNetworkLink(net_link);
     nic.SetHostLink(host_link);
+    nic.InstallApp(&app);
   }
   static SmartNicDeviceConfig Config() {
     SmartNicDeviceConfig config;
     config.host_node = 1;
-    config.offload_proto = AppProto::kKv;
     return config;
   }
   Packet KvPacket() {
@@ -58,6 +74,7 @@ struct SmartNicHarness {
   }
   Simulation sim;
   Topology topo;
+  KvEchoApp app;
   SmartNic nic;
   Collector client;
   Collector host;
@@ -65,24 +82,8 @@ struct SmartNicHarness {
   Link* host_link;
 };
 
-TEST(SmartNicTest, InactivePassesThroughToHost) {
+TEST(SmartNicTest, ActiveAppRepliesInline) {
   SmartNicHarness h;
-  h.nic.Receive(h.KvPacket());
-  h.sim.Run();
-  EXPECT_EQ(h.host.packets.size(), 1u);
-  EXPECT_EQ(h.nic.app_ingress_packets(), 1u);  // Classifier counts anyway.
-  EXPECT_EQ(h.nic.processed_in_hardware(), 0u);
-}
-
-TEST(SmartNicTest, ActiveHandlerRepliesInline) {
-  SmartNicHarness h;
-  h.nic.SetHandler([](const Packet& request) {
-    Packet reply;
-    reply.src = request.dst;
-    reply.dst = request.src;
-    reply.proto = request.proto;
-    return std::optional<Packet>(reply);
-  });
   h.nic.SetAppActive(true);
   h.nic.Receive(h.KvPacket());
   h.sim.Run();
@@ -93,7 +94,6 @@ TEST(SmartNicTest, ActiveHandlerRepliesInline) {
 
 TEST(SmartNicTest, NonMatchingTrafficNeverClaimed) {
   SmartNicHarness h;
-  h.nic.SetHandler([](const Packet&) { return std::optional<Packet>(Packet{}); });
   h.nic.SetAppActive(true);
   Packet raw = h.KvPacket();
   raw.proto = AppProto::kRaw;
@@ -132,15 +132,6 @@ TEST(SmartNicTest, TraitsFollowArchitecture) {
     EXPECT_EQ(nic.reprogramming(), has_fpga) << preset.name;
     nic.SetReprogramming(false);
   }
-}
-
-TEST(SmartNicTest, ReprogrammingHaltsTraffic) {
-  SmartNicHarness h;  // AccelNet: FPGA arch, reprogrammable.
-  h.nic.SetReprogramming(true);
-  h.nic.Receive(h.KvPacket());
-  h.sim.Run();
-  EXPECT_TRUE(h.host.packets.empty());
-  EXPECT_EQ(h.nic.dropped(), 1u);
 }
 
 TEST(SmartNicTest, OffloadSurfaceMatchesPreset) {
