@@ -49,8 +49,8 @@ PolicyResult RunPolicy(ParkPolicy policy) {
   testbed.lake()->WarmFill(0, keys, 64);
   // Parking applies the policy: gated/reprogram reset the memories (caches
   // lost), keep-warm retains them.
-  ClassifierMigrator migrator(sim, *testbed.fpga(),
-                              ClassifierMigrator::Options::FromPolicy(policy));
+  StateTransferMigrator migrator(sim, *testbed.fpga(),
+                                 StateTransferMigrator::Options::FromPolicy(policy));
 
   PolicyResult result;
   result.parked_board_watts = testbed.fpga()->PowerWatts();

@@ -55,7 +55,7 @@ struct TransitionResult {
 // against a pre-warmed authoritative store, one shift into the network at
 // 1 s, miss fraction + p50 over the post-shift window. Only the testbed
 // (which offload substrate hosts LaKe) differs between legs.
-TransitionResult MeasureTransition(Simulation& sim, ClassifierMigrator& migrator,
+TransitionResult MeasureTransition(Simulation& sim, StateTransferMigrator& migrator,
                                    LakeCache& lake, LoadClient& client, bool quick) {
   const SimTime shift_at = Seconds(1);
   const SimDuration window = quick ? Milliseconds(200) : Milliseconds(500);
@@ -118,11 +118,11 @@ TransitionResult RunTransition(bool warm, bool quick) {
 
   // Fig 6 ran without clock gating / memory reset enabled; the warm mode
   // additionally carries the store contents through the generic transfer.
-  ClassifierMigrator::Options migrate_options =
-      ClassifierMigrator::Options::FromPolicy(ParkPolicy::kKeepWarm);
+  StateTransferMigrator::Options migrate_options =
+      StateTransferMigrator::Options::FromPolicy(ParkPolicy::kKeepWarm);
   migrate_options.transfer_state = warm;
-  ClassifierMigrator migrator(sim, *testbed.fpga(), migrate_options,
-                              testbed.memcached(), testbed.lake());
+  StateTransferMigrator migrator(sim, *testbed.fpga(), migrate_options,
+                                 testbed.memcached(), testbed.lake());
   return MeasureTransition(sim, migrator, *testbed.lake(), client, quick);
 }
 
@@ -135,18 +135,20 @@ TransitionResult RunSmartNicTransition(bool warm, bool quick) {
   Simulation sim(23);
   ScenarioSpec spec;
   spec.name = "fig6-smartnic";
-  spec.host.config.name = "kvs-host";
-  spec.host.config.node = 1;
-  spec.host.apps = {"kvs"};
-  spec.target.kind = ScenarioTargetKind::kSmartNic;
-  spec.target.name = "kvs-smartnic";
-  spec.target.smartnic_preset = "accelnet-fpga";
-  spec.target.device_node = 50;
-  spec.target.app = "kvs";
-  spec.target.initially_active = false;
+  ScenarioMemberSpec& kvs = spec.members.emplace_back();
+  kvs.host.config.name = "kvs-host";
+  kvs.host.config.node = 1;
+  kvs.host.apps = {"kvs"};
+  kvs.target.kind = ScenarioTargetKind::kSmartNic;
+  kvs.target.name = "kvs-smartnic";
+  kvs.target.smartnic_preset = "accelnet-fpga";
+  kvs.target.device_node = 50;
+  kvs.target.app = "kvs";
+  kvs.target.initially_active = false;
   ScenarioTestbed testbed(sim, std::move(spec));
-  auto* memcached = testbed.host_app_as<MemcachedServer>(0);
-  auto* lake = testbed.offload_app_as<LakeCache>();
+  ScenarioMember& member = testbed.member(0);
+  auto* memcached = testbed.member_host_app_as<MemcachedServer>(0);
+  auto* lake = testbed.member_offload_app_as<LakeCache>(0);
 
   for (uint64_t k = 0; k < kTransitionKeys; ++k) {
     memcached->store().Set(k, 64);
@@ -156,11 +158,11 @@ TransitionResult RunSmartNicTransition(bool warm, bool quick) {
       testbed.AddClient(TransitionClientConfig(),
                         std::make_unique<PoissonArrival>(16000.0), etc.MakeFactory());
 
-  ClassifierMigrator::Options migrate_options =
-      ClassifierMigrator::Options::FromPolicy(ParkPolicy::kKeepWarm);
+  StateTransferMigrator::Options migrate_options =
+      StateTransferMigrator::Options::FromPolicy(ParkPolicy::kKeepWarm);
   migrate_options.transfer_state = warm;
-  ClassifierMigrator migrator(sim, *testbed.smartnic(), migrate_options, memcached,
-                              testbed.offload_app());
+  StateTransferMigrator migrator(sim, *member.smartnic, migrate_options, memcached,
+                                 member.offload_app.get());
   return MeasureTransition(sim, migrator, *lake, client, quick);
 }
 
@@ -248,10 +250,10 @@ int RunTimeline() {
                                    etc.MakeFactory());
 
   // Fig 6 ran without clock gating / memory reset enabled.
-  ClassifierMigrator::Options migrate_options;
+  StateTransferMigrator::Options migrate_options;
   migrate_options.clock_gate_when_idle = false;
   migrate_options.reset_memories_when_idle = false;
-  ClassifierMigrator migrator(sim, *testbed.fpga(), migrate_options);
+  StateTransferMigrator migrator(sim, *testbed.fpga(), migrate_options);
 
   RaplCounter rapl(sim, [&] { return testbed.server()->RaplPackageWatts(); });
   rapl.Start();

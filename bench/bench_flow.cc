@@ -39,8 +39,6 @@
 #include <string>
 
 #include "bench/bench_util.h"
-#include "src/kvs/lake.h"
-#include "src/kvs/memcached_server.h"
 #include "src/scenarios/kvs_testbed.h"
 #include "src/scenarios/scenario_spec.h"
 #include "src/sim/simulation.h"
@@ -66,7 +64,7 @@ ScenarioSpec OverloadSpec(bool offload, bool flow_on) {
   ScenarioSpec spec = MakeKvsScenarioSpec(options);
   spec.name = std::string(offload ? "lake" : "host") +
               (flow_on ? "-flow" : "-droptail");
-  spec.host.config.num_cores = 1;
+  spec.members[0].host.config.num_cores = 1;
   spec.workload.kind = ScenarioWorkloadSpec::Kind::kKvUniformGets;
   spec.workload.rate_per_second = kOfferedPps;
   spec.workload.keyspace = kKeyspace;
@@ -98,19 +96,13 @@ struct FlowRun {
 FlowRun RunChain(bool offload, bool flow_on, bool quick) {
   Simulation sim(kSeed);
   ScenarioTestbed testbed(sim, OverloadSpec(offload, flow_on));
-  auto* memcached = testbed.host_app_as<MemcachedServer>();
-  for (uint64_t k = 0; k < kKeyspace; ++k) {
-    memcached->store().Set(k, 64);
-  }
-  if (auto* lake = testbed.offload_app_as<LakeCache>()) {
-    lake->WarmFill(0, kKeyspace, 64);
-  }
+  PrefillKvsMember(testbed.member(0), kKeyspace, 64);
   const SimDuration window = RunWindow(quick);
   sim.RunUntil(window);
 
   FlowRun run;
   LoadClient* client = testbed.client();
-  Server* server = testbed.server();
+  Server* server = testbed.member(0).server;
   run.sent = client->sent();
   run.received = client->received();
   run.achieved_pps = static_cast<double>(run.received) / ToSeconds(window);

@@ -40,11 +40,10 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "src/kvs/lake.h"
-#include "src/kvs/memcached_server.h"
 #include "src/kvs/netcache.h"
 #include "src/row/row_scenario.h"
 #include "src/row/row_spec.h"
+#include "src/scenarios/kvs_testbed.h"
 #include "src/scenarios/multi_rack.h"
 #include "src/sim/sharded.h"
 
@@ -105,12 +104,7 @@ ShardedSimulation::Options ShardOptions(uint64_t seed) {
 void PrefillRacks(RowScenario& row) {
   const MultiRackOptions options = RowBenchOptions();
   for (int r = 0; r < row.num_racks(); ++r) {
-    auto* memcached = row.rack(r).member_host_app_as<MemcachedServer>(0);
-    auto* lake = row.rack(r).member_offload_app_as<LakeCache>(0);
-    for (uint64_t k = 0; k < options.prefill; ++k) {
-      memcached->store().Set(k, options.value_bytes);
-    }
-    lake->WarmFill(0, options.prefill, options.value_bytes);
+    PrefillKvsMember(row.rack(r).member(0), options.prefill, options.value_bytes);
   }
 }
 

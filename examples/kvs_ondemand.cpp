@@ -48,7 +48,7 @@ int main() {
 
   // The migrator keeps the idle app clock-gated with memories in reset —
   // the paper's recommended parked state.
-  ClassifierMigrator migrator(sim, *testbed.fpga());
+  StateTransferMigrator migrator(sim, *testbed.fpga());
 
   // Host-controlled on-demand controller: RAPL + CPU usage, sustained
   // windows, mirrored thresholds for hysteresis (§9.1).

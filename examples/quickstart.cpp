@@ -11,9 +11,8 @@
 #include <cstdio>
 #include <memory>
 
-#include "src/kvs/lake.h"
-#include "src/kvs/memcached_server.h"
 #include "src/power/cpu_power.h"
+#include "src/scenarios/kvs_testbed.h"
 #include "src/scenarios/scenario_spec.h"
 #include "src/sim/simulation.h"
 
@@ -31,26 +30,29 @@ Result Run(bool offload, double offered_pps) {
   // 1. A deterministic simulation.
   Simulation sim(/*seed=*/42);
 
-  // 2. The scenario, declaratively: nodes, target, app by registry name,
-  //    and the workload. ScenarioTestbed wires the topology and attaches a
-  //    wall power meter exactly as in the paper's setup.
+  // 2. The scenario, declaratively: one member (host, ingress device, app
+  //    by registry name) and the workload. Without a ToR, the member's
+  //    ingress device takes the client link: the paper's §4.1 chain.
+  //    ScenarioTestbed wires the topology and attaches a wall power meter
+  //    exactly as in the paper's setup.
   ScenarioSpec spec;
   spec.name = offload ? "kvs-lake" : "kvs-software";
-  spec.host.config.name = "i7-server";
-  spec.host.config.node = 1;
-  spec.host.config.num_cores = 4;
-  spec.host.config.power_curve = I7MemcachedCurve();
-  spec.host.apps = {"kvs"};  // memcached, via the AppRegistry.
+  ScenarioMemberSpec& kvs = spec.members.emplace_back();
+  kvs.host.config.name = "i7-server";
+  kvs.host.config.node = 1;
+  kvs.host.config.num_cores = 4;
+  kvs.host.config.power_curve = I7MemcachedCurve();
+  kvs.host.apps = {"kvs"};  // memcached, via the AppRegistry.
   // The paper's link calibration (same as the KVS testbed).
   spec.client_link = TestbedBuilder::TenGigLink(Nanoseconds(100));
-  spec.target.pcie = TestbedBuilder::PcieLink(Nanoseconds(2500));
+  kvs.target.pcie = TestbedBuilder::PcieLink(Nanoseconds(2500));
   if (offload) {
-    spec.target.kind = ScenarioTargetKind::kFpgaNic;
-    spec.target.name = "netfpga-lake";
-    spec.target.device_node = 50;
-    spec.target.app = "kvs";  // Same name, FPGA placement: LaKe.
+    kvs.target.kind = ScenarioTargetKind::kFpgaNic;
+    kvs.target.name = "netfpga-lake";
+    kvs.target.device_node = 50;
+    kvs.target.app = "kvs";  // Same name, FPGA placement: LaKe.
   } else {
-    spec.target.kind = ScenarioTargetKind::kConventionalNic;
+    kvs.target.kind = ScenarioTargetKind::kConventionalNic;
   }
   spec.workload.kind = ScenarioWorkloadSpec::Kind::kKvUniformGets;
   spec.workload.rate_per_second = offered_pps;
@@ -59,14 +61,7 @@ Result Run(bool offload, double offered_pps) {
   ScenarioTestbed testbed(sim, spec);
 
   // 3. Warm stores so GETs hit (the workload client is already running).
-  if (auto* memcached = testbed.host_app_as<MemcachedServer>()) {
-    for (uint64_t k = 0; k < 1000; ++k) {
-      memcached->store().Set(k, 64);
-    }
-  }
-  if (auto* lake = testbed.offload_app_as<LakeCache>()) {
-    lake->WarmFill(0, 1000, 64);
-  }
+  PrefillKvsMember(testbed.member(0), 1000, 64);
 
   // 4. Warm up, then measure a steady-state window.
   sim.RunUntil(Milliseconds(100));

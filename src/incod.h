@@ -85,7 +85,6 @@
 #include "src/scenarios/rack_scenario.h"
 #include "src/scenarios/scenario_spec.h"
 #include "src/scenarios/testbed_builder.h"
-#include "src/scenarios/trace_rack.h"
 #include "src/workload/arrival.h"
 #include "src/workload/client.h"
 #include "src/workload/dns_workload.h"

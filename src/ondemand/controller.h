@@ -21,7 +21,6 @@
 #define INCOD_SRC_ONDEMAND_CONTROLLER_H_
 
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "src/device/offload_target.h"
@@ -39,7 +38,6 @@ class OffloadController {
 
   virtual void Start() = 0;
   virtual void Stop() { stopped_ = true; }
-  virtual std::string ControllerName() const = 0;
 
  protected:
   bool stopped_ = false;
@@ -67,7 +65,6 @@ class NetworkController : public OffloadController {
                     NetworkControllerConfig config = {});
 
   void Start() override;
-  std::string ControllerName() const override { return "network-controlled"; }
 
   const NetworkControllerConfig& config() const { return config_; }
   uint64_t decisions_evaluated() const { return decisions_; }
@@ -114,7 +111,6 @@ class HostController : public OffloadController {
                  HostControllerConfig config = {});
 
   void Start() override;
-  std::string ControllerName() const override { return "host-controlled"; }
 
   const HostControllerConfig& config() const { return config_; }
   // Most recent RAPL-derived power reading (for the Fig 6 timeline).

@@ -11,7 +11,6 @@
 #ifndef INCOD_SRC_ONDEMAND_ENERGY_CONTROLLER_H_
 #define INCOD_SRC_ONDEMAND_ENERGY_CONTROLLER_H_
 
-#include <string>
 
 #include "src/device/offload_target.h"
 #include "src/ondemand/controller.h"
@@ -43,7 +42,6 @@ class EnergyAwareController : public OffloadController {
                         EnergyAwareControllerConfig config = {});
 
   void Start() override;
-  std::string ControllerName() const override { return "energy-aware"; }
 
   // Predicted watts for each placement at the given rate (for inspection).
   double PredictSoftwareWatts(double rate_pps) const { return software_watts_(rate_pps); }

@@ -75,14 +75,6 @@ void StateTransferMigrator::TransferTo(Placement to) {
   ++state_transfers_;
 }
 
-std::string StateTransferMigrator::MigratorName() const {
-  return "state-transfer/" + target_.TargetName();
-}
-
-std::string ClassifierMigrator::MigratorName() const {
-  return "classifier/" + target().TargetName();
-}
-
 void StateTransferMigrator::ShiftToNetwork() {
   if (placement() == Placement::kNetwork) {
     return;

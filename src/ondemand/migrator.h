@@ -9,15 +9,14 @@
 // StateTransferMigrator flips the target's classifier, applies the §9.2
 // park policy, and — when enabled — moves the application's typed AppState
 // snapshot between the host and offload placements, for *any* registered
-// app. ClassifierMigrator is the classic classifier-flip configuration of
-// that core (the paper's behaviour: caches re-warm instead of being
-// transferred); PaxosLeaderMigrator layers the §9.2 leader election
-// (switch-rule rewrite + ballot/sequence choreography) on the same core.
+// app. With transfer_state off (the default) it is the paper's KVS/DNS
+// classifier flip: caches re-warm instead of being transferred.
+// PaxosLeaderMigrator layers the §9.2 leader election (switch-rule rewrite
+// + ballot/sequence choreography) on the same core.
 #ifndef INCOD_SRC_ONDEMAND_MIGRATOR_H_
 #define INCOD_SRC_ONDEMAND_MIGRATOR_H_
 
 #include <optional>
-#include <string>
 #include <vector>
 
 #include "src/app/app.h"
@@ -45,7 +44,6 @@ class Migrator {
 
   virtual void ShiftToNetwork() = 0;
   virtual void ShiftToHost() = 0;
-  virtual std::string MigratorName() const = 0;
 
   Placement placement() const { return placement_; }
   const std::vector<TransitionEvent>& transitions() const { return transitions_; }
@@ -100,10 +98,11 @@ class StateTransferMigrator : public Migrator {
   // (may be null when transfer_state is off — the flip needs neither).
   StateTransferMigrator(Simulation& sim, OffloadTarget& target, Options options,
                         App* host_app = nullptr, App* offload_app = nullptr);
+  StateTransferMigrator(Simulation& sim, OffloadTarget& target)
+      : StateTransferMigrator(sim, target, Options{}) {}
 
   void ShiftToNetwork() override;
   void ShiftToHost() override;
-  std::string MigratorName() const override;
 
   // Crash-recovery surface. AbandonToHost is ShiftToHost minus the state
   // transfer: the offload placement is dead, so nothing can be snapshotted
@@ -158,25 +157,6 @@ class StateTransferMigrator : public Migrator {
   uint64_t checkpoint_restores_ = 0;
 };
 
-// KVS / DNS migrator: the classifier-flip configuration of the generic
-// core, reproducing the paper's behaviour exactly (no state transfer unless
-// asked). Works against any OffloadTarget — unsupported park knobs are
-// no-ops (a switch ASIC parks as kKeepWarm no matter what). Configurable to
-// reproduce the Fig 6 experiment (which ran with gating disabled ->
-// kKeepWarm).
-class ClassifierMigrator : public StateTransferMigrator {
- public:
-  using Options = StateTransferMigrator::Options;
-
-  ClassifierMigrator(Simulation& sim, OffloadTarget& target, Options options,
-                     App* host_app = nullptr, App* offload_app = nullptr)
-      : StateTransferMigrator(sim, target, options, host_app, offload_app) {}
-  ClassifierMigrator(Simulation& sim, OffloadTarget& target)
-      : ClassifierMigrator(sim, target, Options{}) {}
-
-  std::string MigratorName() const override;
-};
-
 // Paxos leader migrator (§9.2): "we use a centralized controller to initiate
 // the shift ... the controller modifies switch forwarding rules to send
 // messages to the new leader". Layers leader election on the generic core:
@@ -216,7 +196,6 @@ class PaxosLeaderMigrator : public StateTransferMigrator {
   // carry — the software leader Reset()s to a fresh higher ballot and
   // re-learns (or a checkpoint restore follows and supersedes the learning).
   void AbandonToHost() override;
-  std::string MigratorName() const override { return "paxos-leader"; }
 
   // Keeps the leader-election options in lockstep with the generic core's
   // transfer knob (the orchestrator's warm/cold policy flows through here).

@@ -1,6 +1,5 @@
 #include "src/scenarios/dns_testbed.h"
 
-#include <stdexcept>
 #include <utility>
 
 #include "src/power/cpu_power.h"
@@ -13,31 +12,32 @@ ScenarioSpec MakeDnsScenarioSpec(const DnsTestbedOptions& options, const Zone* z
   spec.name = "dns";
   spec.meter_period = options.meter_period;
   spec.env.zone = zone;
-  spec.env.nsd = options.nsd;
-  spec.env.emu_dns = options.emu;
 
-  spec.host.present = options.mode != DnsMode::kEmuStandalone;
-  spec.host.config.name = "i7-server";
-  spec.host.config.node = kTestbedServerNode;
-  spec.host.config.num_cores = 4;
-  spec.host.config.power_curve = I7NsdCurve();
-  if (spec.host.present) {
-    spec.host.apps = {"dns"};
+  ScenarioMemberSpec& dns = spec.members.emplace_back();
+  dns.name = "dns";
+  dns.env.nsd = options.nsd;
+  dns.env.emu_dns = options.emu;
+  dns.host.present = options.mode != DnsMode::kEmuStandalone;
+  dns.host.config.name = "i7-server";
+  dns.host.config.node = kTestbedServerNode;
+  dns.host.config.num_cores = 4;
+  dns.host.config.power_curve = I7NsdCurve();
+  if (dns.host.present) {
+    dns.host.apps = {"dns"};
   }
-
   switch (options.mode) {
     case DnsMode::kSoftwareOnly:
-      spec.target.kind = ScenarioTargetKind::kConventionalNic;
-      spec.target.name = "";  // Mellanox preset name.
+      dns.target.kind = ScenarioTargetKind::kConventionalNic;
+      dns.target.name = "";  // Mellanox preset name.
       break;
     case DnsMode::kEmu:
     case DnsMode::kEmuStandalone:
-      spec.target.kind = ScenarioTargetKind::kFpgaNic;
-      spec.target.name = "netfpga-emu";
-      spec.target.device_node = kTestbedDeviceNode;
-      spec.target.standalone = options.mode == DnsMode::kEmuStandalone;
-      spec.target.app = "dns";
-      spec.target.initially_active = options.emu_initially_active;
+      dns.target.kind = ScenarioTargetKind::kFpgaNic;
+      dns.target.name = "netfpga-emu";
+      dns.target.device_node = kTestbedDeviceNode;
+      dns.target.standalone = options.mode == DnsMode::kEmuStandalone;
+      dns.target.app = "dns";
+      dns.target.initially_active = options.emu_initially_active;
       break;
   }
   return spec;
@@ -47,8 +47,8 @@ DnsTestbed::DnsTestbed(Simulation& sim, DnsTestbedOptions options)
     : sim_(sim), options_(std::move(options)) {
   zone_.FillSynthetic(options_.zone_size);
   testbed_ = std::make_unique<ScenarioTestbed>(sim, MakeDnsScenarioSpec(options_, &zone_));
-  nsd_ = testbed_->host_app_as<NsdServer>();
-  emu_ = testbed_->offload_app_as<EmuDns>();
+  nsd_ = testbed_->member_host_app_as<NsdServer>(0);
+  emu_ = testbed_->member_offload_app_as<EmuDns>(0);
 }
 
 LoadClient& DnsTestbed::AddClient(LoadClientConfig config,

@@ -28,16 +28,16 @@ struct DnsTestbedOptions {
   SimDuration meter_period = Milliseconds(1);
 };
 
-// Builds the declarative spec the testbed wires. `zone` must outlive the
-// testbed (it is shared read-only by every DNS placement).
+// Builds the declarative spec the testbed wires: one ToR-less member. `zone`
+// must outlive the testbed (it is shared read-only by every DNS placement).
 ScenarioSpec MakeDnsScenarioSpec(const DnsTestbedOptions& options, const Zone* zone);
 
 class DnsTestbed {
  public:
   DnsTestbed(Simulation& sim, DnsTestbedOptions options);
 
-  Server* server() { return testbed_->server(); }
-  FpgaNic* fpga() { return testbed_->fpga(); }
+  Server* server() { return testbed_->member(0).server; }
+  FpgaNic* fpga() { return testbed_->member(0).fpga; }
   EmuDns* emu() { return emu_; }
   NsdServer* nsd() { return nsd_; }
   Zone& zone() { return zone_; }

@@ -36,19 +36,25 @@ struct KvsTestbedOptions {
   SimDuration meter_period = Milliseconds(1);
 };
 
-// Builds the declarative spec the testbed wires (exposed so differential
-// tests and custom scenarios can start from the same literal).
+// Builds the declarative spec the testbed wires: one ToR-less member
+// (exposed so differential tests and custom scenarios can start from the
+// same literal).
 ScenarioSpec MakeKvsScenarioSpec(const KvsTestbedOptions& options);
+
+// Fills a built member's memcached store (when it hosts one) and LaKe
+// caches (when it carries the FPGA placement) with keys [0, count) so GETs
+// hit.
+void PrefillKvsMember(ScenarioMember& member, uint64_t count, uint32_t value_bytes);
 
 class KvsTestbed {
  public:
   KvsTestbed(Simulation& sim, KvsTestbedOptions options);
 
   // Null when the mode lacks the component.
-  Server* server() { return testbed_->server(); }
-  FpgaNic* fpga() { return testbed_->fpga(); }
+  Server* server() { return testbed_->member(0).server; }
+  FpgaNic* fpga() { return testbed_->member(0).fpga; }
   LakeCache* lake() { return lake_; }
-  ConventionalNic* nic() { return testbed_->nic(); }
+  ConventionalNic* nic() { return testbed_->member(0).nic; }
   MemcachedServer* memcached() { return memcached_; }
   WallPowerMeter& meter() { return testbed_->meter(); }
   Simulation& sim() { return sim_; }
@@ -63,9 +69,10 @@ class KvsTestbed {
   // Address clients should target.
   NodeId ServiceNode() const { return testbed_->ServiceNode(); }
 
-  // Fills the software store (and, when present, LaKe's caches) with keys
-  // [0, count) so GETs hit.
-  void Prefill(uint64_t count, uint32_t value_bytes);
+  // PrefillKvsMember over the testbed's one member.
+  void Prefill(uint64_t count, uint32_t value_bytes) {
+    PrefillKvsMember(testbed_->member(0), count, value_bytes);
+  }
 
  private:
   Simulation& sim_;

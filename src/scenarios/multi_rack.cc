@@ -3,9 +3,8 @@
 #include <string>
 #include <utility>
 
-#include "src/kvs/lake.h"
-#include "src/kvs/memcached_server.h"
 #include "src/power/cpu_power.h"
+#include "src/scenarios/kvs_testbed.h"
 
 namespace incod {
 
@@ -21,8 +20,6 @@ RowSpec MakeMultiRackRowSpec(const MultiRackOptions& options) {
     ScenarioSpec& spec = rack.scenario;
     spec.name = "rack-" + std::to_string(r);
     spec.meter_period = options.meter_period;
-    spec.host.present = false;
-    spec.target.kind = ScenarioTargetKind::kNone;
     spec.tor.present = true;
     spec.tor.asic = false;  // Plain L2 ToR; the spine handles inter-rack.
     spec.tor.name = "tor-" + std::to_string(r);
@@ -91,19 +88,10 @@ RowSpec MakeMultiRackRowSpec(const MultiRackOptions& options) {
 
 MultiRackScenario::MultiRackScenario(ShardedSimulation& sharded,
                                      MultiRackOptions options)
-    : options_(options), row_(sharded, MakeMultiRackRowSpec(options)) {
+    : row_(sharded, MakeMultiRackRowSpec(options)) {
   for (int r = 0; r < num_racks(); ++r) {
-    PrefillRack(r);
+    PrefillKvsMember(rack(r).member(0), options.prefill, options.value_bytes);
   }
-}
-
-void MultiRackScenario::PrefillRack(int r) {
-  auto* memcached = rack(r).member_host_app_as<MemcachedServer>(0);
-  auto* lake = rack(r).member_offload_app_as<LakeCache>(0);
-  for (uint64_t k = 0; k < options_.prefill; ++k) {
-    memcached->store().Set(k, options_.value_bytes);
-  }
-  lake->WarmFill(0, options_.prefill, options_.value_bytes);
 }
 
 void MultiRackScenario::Start() {

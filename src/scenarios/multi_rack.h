@@ -75,9 +75,6 @@ class MultiRackScenario {
   uint64_t TotalReceived() const { return row_.TotalReceived(); }
 
  private:
-  void PrefillRack(int r);
-
-  MultiRackOptions options_;
   RowScenario row_;
 };
 

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "src/power/cpu_power.h"
+#include "src/scenarios/kvs_testbed.h"
 
 namespace incod {
 
@@ -20,8 +21,6 @@ ScenarioSpec MakeMixedRackSpec(const MixedRackOptions& options, const Zone* zone
   spec.meter_period = options.meter_period;
   spec.flow = options.flow;
   spec.hostnic = options.hostnic;
-  spec.host.present = false;  // Switch-centric: everything is a member.
-  spec.target.kind = ScenarioTargetKind::kNone;
   spec.env.zone = zone;
 
   // Rack ToR: a Tofino-class ASIC forwarding everything at line rate.
@@ -194,16 +193,18 @@ void MixedRackScenario::ResolveMembers() {
 
 void MixedRackScenario::BuildMigrators() {
   // Starts parked on the host placement (the migrator applies the policy).
-  kvs_migrator_ = std::make_unique<ClassifierMigrator>(
-      sim_, *kvs_fpga_, ClassifierMigrator::Options::FromPolicy(ParkPolicy::kGatedPark),
-      memcached_, lake_);
-  dns_migrator_ = std::make_unique<ClassifierMigrator>(
-      sim_, *dns_target_, ClassifierMigrator::Options::FromPolicy(ParkPolicy::kKeepWarm),
-      nsd_, dns_program_);
+  kvs_migrator_ = std::make_unique<StateTransferMigrator>(
+      sim_, *kvs_fpga_,
+      StateTransferMigrator::Options::FromPolicy(ParkPolicy::kGatedPark), memcached_,
+      lake_);
+  dns_migrator_ = std::make_unique<StateTransferMigrator>(
+      sim_, *dns_target_,
+      StateTransferMigrator::Options::FromPolicy(ParkPolicy::kKeepWarm), nsd_,
+      dns_program_);
   if (kvs_switch_target_ != nullptr) {
-    kvs_switch_migrator_ = std::make_unique<ClassifierMigrator>(
+    kvs_switch_migrator_ = std::make_unique<StateTransferMigrator>(
         sim_, *kvs_switch_target_,
-        ClassifierMigrator::Options::FromPolicy(ParkPolicy::kKeepWarm), memcached_,
+        StateTransferMigrator::Options::FromPolicy(ParkPolicy::kKeepWarm), memcached_,
         netcache_);
   }
   if (options_.enable_paxos) {
@@ -324,10 +325,7 @@ LoadClient& MixedRackScenario::AddDnsClient(LoadClientConfig config,
 }
 
 void MixedRackScenario::PrefillKvs(uint64_t count, uint32_t value_bytes) {
-  for (uint64_t k = 0; k < count; ++k) {
-    memcached_->store().Set(k, value_bytes);
-  }
-  lake_->WarmFill(0, count, value_bytes);
+  PrefillKvsMember(testbed_->member("kvs"), count, value_bytes);
 }
 
 }  // namespace incod

@@ -10,6 +10,22 @@
 
 namespace incod {
 
+namespace {
+
+// The device a member's network link lands on; null for aux and device-less
+// members.
+NicPorts* Ingress(const ScenarioMember& member) {
+  if (member.fpga != nullptr) {
+    return member.fpga;
+  }
+  if (member.smartnic != nullptr) {
+    return member.smartnic;
+  }
+  return member.nic;
+}
+
+}  // namespace
+
 ScenarioTestbed::ScenarioTestbed(Simulation& sim, ScenarioSpec spec)
     : sim_(sim), spec_(std::move(spec)), builder_(sim, spec_.meter_period) {
   Build();
@@ -33,16 +49,17 @@ void ScenarioTestbed::ApplyFlowSpec() {
   host_flow.pfc = true;
   host_flow.cnp = spec_.flow.dcqcn;
   spec_.client_link.flow = link_flow;
-  spec_.target.pcie.flow = link_flow;
-  spec_.host.config.flow = host_flow;
   for (auto& member : spec_.members) {
     member.switch_link.flow = link_flow;
     member.target.pcie.flow = link_flow;
     member.host.config.flow = host_flow;
   }
-  if (spec_.flow.dcqcn && !spec_.workload.client.dcqcn.enabled) {
-    spec_.workload.client.dcqcn = spec_.flow.dcqcn_config;
-    spec_.workload.client.dcqcn.enabled = true;
+}
+
+void ScenarioTestbed::ApplyDcqcn(LoadClientConfig& config) const {
+  if (spec_.flow.enabled && spec_.flow.dcqcn && !config.dcqcn.enabled) {
+    config.dcqcn = spec_.flow.dcqcn_config;
+    config.dcqcn.enabled = true;
   }
 }
 
@@ -54,7 +71,6 @@ void ScenarioTestbed::ApplyHostNicSpec() {
     config.dispatch = spec_.hostnic.dispatch;
     config.interrupt_cpu_cost = spec_.hostnic.interrupt_cpu_cost;
   };
-  stamp(spec_.host.config);
   for (ScenarioMemberSpec& member : spec_.members) {
     stamp(member.host.config);
   }
@@ -68,33 +84,20 @@ HostNicSpec ScenarioTestbed::ResolveHostNic(const ServerConfig& host_config) con
 }
 
 void ScenarioTestbed::Build() {
+  if (!spec_.tor.present && spec_.members.size() != 1) {
+    throw std::invalid_argument(
+        "ScenarioSpec: a spec without a ToR needs exactly one member");
+  }
   ApplyFlowSpec();
   ApplyHostNicSpec();
   if (spec_.tor.present) {
-    // Switch-centric scenario: members hang off the ToR; the single-chain
-    // host/target sections are ignored.
-    if (spec_.controller.present) {
-      throw std::invalid_argument(
-          "ScenarioSpec: the single-chain controller does not apply to a "
-          "switch-centric scenario (drive members via migrators/orchestrator)");
-    }
     BuildTor();
-    BuildMembers();
-    builder_.StartMeter();
-    BuildWorkload();
-    BuildFaults();
-    return;
   }
-  if (!spec_.members.empty()) {
-    throw std::invalid_argument("ScenarioSpec: members need tor.present");
+  members_.reserve(spec_.members.size());
+  for (const ScenarioMemberSpec& member_spec : spec_.members) {
+    BuildMember(member_spec);
   }
-  if (!spec_.host.present && spec_.target.kind != ScenarioTargetKind::kFpgaNic) {
-    throw std::invalid_argument("ScenarioSpec: a hostless scenario needs an FPGA NIC");
-  }
-  BuildHost();
-  BuildTarget();
   builder_.StartMeter();
-  BuildController();
   BuildWorkload();
   BuildFaults();
 }
@@ -122,18 +125,16 @@ void ScenarioTestbed::BuildTor() {
   tor_ = builder_.AddL2Switch(spec_.tor.name);
 }
 
-void ScenarioTestbed::BuildMembers() {
-  members_.reserve(spec_.members.size());
-  for (const ScenarioMemberSpec& member_spec : spec_.members) {
-    BuildMember(member_spec);
-  }
-}
-
 void ScenarioTestbed::BuildMember(const ScenarioMemberSpec& member_spec) {
   const AppFactoryEnv env = ResolveEnv(member_spec.env);
   ScenarioMember built;
   built.name = member_spec.name;
 
+  if (tor_ == nullptr &&
+      (member_spec.aux || member_spec.target.kind == ScenarioTargetKind::kNone)) {
+    throw std::invalid_argument("ScenarioSpec: member " + member_spec.name +
+                                " needs an ingress device for the client link");
+  }
   if (member_spec.aux) {
     if (member_spec.target.kind != ScenarioTargetKind::kNone ||
         !member_spec.switch_app.empty()) {
@@ -154,6 +155,14 @@ void ScenarioTestbed::BuildMember(const ScenarioMemberSpec& member_spec) {
     }
   }
 
+  // A ToR-less member's ingress waits for AddClient.
+  const auto connect_tor = [&](NicPorts* ingress) {
+    if (tor_ != nullptr) {
+      built.port = builder_.ConnectToSwitchPort(tor_, ingress, member_spec.switch_routes,
+                                                member_spec.switch_link,
+                                                member_spec.link_name);
+    }
+  };
   switch (member_spec.target.kind) {
     case ScenarioTargetKind::kNone:
       if (built.server != nullptr && !member_spec.aux) {
@@ -177,10 +186,7 @@ void ScenarioTestbed::BuildMember(const ScenarioMemberSpec& member_spec) {
         nic_config.hostnic = ResolveHostNic(member_spec.host.config);
       }
       built.nic = builder_.AddConventionalNic(nic_config, member_spec.target.metered);
-      built.port = builder_.ConnectToSwitchPort(tor_, built.nic,
-                                                member_spec.switch_routes,
-                                                member_spec.switch_link,
-                                                member_spec.link_name);
+      connect_tor(built.nic);
       builder_.ConnectPcie(built.nic, built.server, member_spec.target.pcie,
                            member_spec.link_name + "-pcie");
       break;
@@ -201,10 +207,7 @@ void ScenarioTestbed::BuildMember(const ScenarioMemberSpec& member_spec) {
       if (built.offload_app != nullptr) {
         built.fpga->SetAppActive(member_spec.target.initially_active);
       }
-      built.port = builder_.ConnectToSwitchPort(tor_, built.fpga,
-                                                member_spec.switch_routes,
-                                                member_spec.switch_link,
-                                                member_spec.link_name);
+      connect_tor(built.fpga);
       if (built.server != nullptr) {
         builder_.ConnectPcie(built.fpga, built.server, member_spec.target.pcie,
                              member_spec.link_name + "-pcie");
@@ -232,10 +235,7 @@ void ScenarioTestbed::BuildMember(const ScenarioMemberSpec& member_spec) {
         built.smartnic->InstallApp(built.offload_app.get());
         built.smartnic->SetAppActive(member_spec.target.initially_active);
       }
-      built.port = builder_.ConnectToSwitchPort(tor_, built.smartnic,
-                                                member_spec.switch_routes,
-                                                member_spec.switch_link,
-                                                member_spec.link_name);
+      connect_tor(built.smartnic);
       builder_.ConnectPcie(built.smartnic, built.server, member_spec.target.pcie,
                            member_spec.link_name + "-pcie");
       break;
@@ -274,9 +274,6 @@ void ScenarioTestbed::BuildFaults() {
   if (tor_ != nullptr) {
     faults_->RegisterNode(tor_->SinkName(), tor_);
   }
-  if (server_ != nullptr) {
-    faults_->RegisterNode(server_->SinkName(), server_);
-  }
   const auto register_offload_nic = [this](OffloadNic* board) {
     if (board != nullptr) {
       // Both names mean engine death: TargetName ("netfpga/app") is what the
@@ -285,12 +282,6 @@ void ScenarioTestbed::BuildFaults() {
       faults_->RegisterTarget(board->SinkName(), board);
     }
   };
-  register_offload_nic(offload_nic());
-  if (nic_ != nullptr) {
-    faults_->RegisterNode(nic_->SinkName(), nic_);
-  }
-  register_link("pcie");
-  register_link("client-10ge");
   for (size_t i = 0; i < members_.size(); ++i) {
     ScenarioMember& m = members_[i];
     const ScenarioMemberSpec& member_spec = spec_.members[i];
@@ -320,134 +311,25 @@ ScenarioMember& ScenarioTestbed::member(const std::string& name) {
   throw std::invalid_argument("ScenarioTestbed: no member named " + name);
 }
 
-void ScenarioTestbed::BuildHost() {
-  if (!spec_.host.present) {
-    return;
-  }
-  server_ = builder_.AddServer(spec_.host.config, spec_.host.metered);
-  for (const std::string& name : spec_.host.apps) {
-    auto app = AppRegistry::Global().Create(name, PlacementKind::kHost, spec_.env);
-    server_->BindApp(app.get());
-    host_apps_.push_back(std::move(app));
-  }
-}
-
-void ScenarioTestbed::BuildTarget() {
-  switch (spec_.target.kind) {
-    case ScenarioTargetKind::kNone:
-      return;
-    case ScenarioTargetKind::kConventionalNic: {
-      if (server_ == nullptr) {
-        throw std::invalid_argument("ScenarioSpec: conventional NIC needs a host");
-      }
-      ConventionalNicConfig nic_config =
-          spec_.target.intel_nic ? IntelX520Config(spec_.host.config.node)
-                                 : MellanoxConnectX3Config(spec_.host.config.node);
-      if (!spec_.target.name.empty()) {
-        nic_config.name = spec_.target.name;
-      }
-      if (spec_.hostnic.enabled) {
-        nic_config.hostnic = ResolveHostNic(spec_.host.config);
-      }
-      nic_ = builder_.AddConventionalNic(nic_config, spec_.target.metered);
-      builder_.ConnectPcie(nic_, server_, spec_.target.pcie);
-      return;
-    }
-    case ScenarioTargetKind::kFpgaNic: {
-      FpgaNicConfig fpga_config;
-      fpga_config.name = spec_.target.name.empty() ? "netfpga" : spec_.target.name;
-      fpga_config.host_node = spec_.host.config.node;
-      fpga_config.device_node = spec_.target.device_node;
-      fpga_config.standalone = spec_.target.standalone;
-      if (!spec_.target.app.empty()) {
-        offload_app_ = AppRegistry::Global().Create(spec_.target.app,
-                                                    PlacementKind::kFpgaNic, spec_.env);
-      }
-      fpga_ = builder_.AddFpgaNic(fpga_config, offload_app_.get(), spec_.target.metered);
-      if (server_ != nullptr) {
-        builder_.ConnectPcie(fpga_, server_, spec_.target.pcie);
-      }
-      if (offload_app_ != nullptr) {
-        fpga_->SetAppActive(spec_.target.initially_active);
-      }
-      return;
-    }
-    case ScenarioTargetKind::kSmartNic: {
-      if (server_ == nullptr) {
-        throw std::invalid_argument("ScenarioSpec: a SmartNIC needs a host");
-      }
-      SmartNicDeviceConfig nic_config;
-      nic_config.name = spec_.target.name.empty() ? "smartnic" : spec_.target.name;
-      nic_config.host_node = spec_.host.config.node;
-      nic_config.device_node = spec_.target.device_node;
-      if (!spec_.target.app.empty()) {
-        offload_app_ = AppRegistry::Global().Create(spec_.target.app,
-                                                    PlacementKind::kSmartNic, spec_.env);
-      }
-      smartnic_ = builder_.AddSmartNic(
-          SmartNicPresetByName(spec_.target.smartnic_preset), nic_config,
-          spec_.target.metered);
-      builder_.ConnectPcie(smartnic_, server_, spec_.target.pcie);
-      if (offload_app_ != nullptr) {
-        smartnic_->InstallApp(offload_app_.get());
-        smartnic_->SetAppActive(spec_.target.initially_active);
-      }
-      return;
-    }
-  }
-}
-
-void ScenarioTestbed::BuildController() {
-  if (!spec_.controller.present) {
-    return;
-  }
-  // The classifier flip works against any offload-capable ingress device.
-  OffloadNic* board = offload_nic();
-  if (board == nullptr || offload_app_ == nullptr) {
-    throw std::invalid_argument("ScenarioSpec: controller needs an offloaded app");
-  }
-  ClassifierMigrator::Options options =
-      ClassifierMigrator::Options::FromPolicy(spec_.controller.park_policy);
-  options.transfer_state = spec_.controller.transfer_state;
-  migrator_ = std::make_unique<ClassifierMigrator>(
-      sim_, *board, options,
-      host_apps_.empty() ? nullptr : host_apps_.front().get(), offload_app_.get());
-  controller_ = std::make_unique<NetworkController>(sim_, *board, *migrator_,
-                                                    spec_.controller.network);
-  controller_->Start();
-}
-
 NodeId ScenarioTestbed::ServiceNode() const {
-  if (spec_.host.present) {
-    return spec_.host.config.node;
-  }
-  return spec_.target.device_node;
-}
-
-App* ScenarioTestbed::host_app(size_t index) {
-  return index < host_apps_.size() ? host_apps_[index].get() : nullptr;
+  const ScenarioMemberSpec& member = spec_.members.at(0);
+  return member.host.present ? member.host.config.node : member.target.device_node;
 }
 
 LoadClient& ScenarioTestbed::AddClient(LoadClientConfig config,
                                        std::unique_ptr<ArrivalProcess> arrival,
                                        RequestFactory factory) {
+  if (tor_ != nullptr) {
+    throw std::logic_error("ScenarioTestbed: AddClient needs a spec without a ToR");
+  }
   if (client_ != nullptr) {
     throw std::logic_error("ScenarioTestbed: client already attached");
   }
-  if (spec_.flow.enabled && spec_.flow.dcqcn && !config.dcqcn.enabled) {
-    config.dcqcn = spec_.flow.dcqcn_config;
-    config.dcqcn.enabled = true;
-  }
+  ApplyDcqcn(config);
   client_ = builder_.AddLoadClient(std::move(config), std::move(arrival),
                                    std::move(factory));
-  NicPorts* ingress = offload_nic();
-  if (ingress == nullptr) {
-    ingress = nic_;
-  }
-  if (ingress == nullptr) {
-    throw std::logic_error("ScenarioTestbed: no ingress device for the client");
-  }
-  builder_.ConnectClient(client_, ingress, spec_.client_link);
+  builder_.ConnectClient(client_, Ingress(members_.front()), spec_.client_link,
+                         spec_.members.front().link_name);
   return *client_;
 }
 
@@ -457,10 +339,7 @@ LoadClient& ScenarioTestbed::AddTorClient(LoadClientConfig config,
   if (tor_ == nullptr) {
     throw std::logic_error("ScenarioTestbed: AddTorClient needs a ToR");
   }
-  if (spec_.flow.enabled && spec_.flow.dcqcn && !config.dcqcn.enabled) {
-    config.dcqcn = spec_.flow.dcqcn_config;
-    config.dcqcn.enabled = true;
-  }
+  ApplyDcqcn(config);
   const NodeId node = config.node;
   LoadClient* client = builder_.AddLoadClient(std::move(config), std::move(arrival),
                                               std::move(factory), shard);
@@ -516,8 +395,8 @@ void ScenarioTestbed::BuildWorkload() {
   }
   if (tor_ != nullptr) {
     throw std::invalid_argument(
-        "ScenarioSpec: declarative workloads target the single-chain service; "
-        "attach clients to a switch-centric scenario via AddTorClient");
+        "ScenarioSpec: declarative workloads need a spec without a ToR; "
+        "attach clients to a ToR via AddTorClient");
   }
   RequestFactory factory =
       MakeScenarioRequestFactory(spec_.workload, ServiceNode(), spec_.env.zone);

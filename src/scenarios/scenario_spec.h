@@ -1,19 +1,24 @@
 // Declarative scenario description, consumed by TestbedBuilder.
 //
 // A ScenarioSpec is a struct literal naming *what* a testbed contains —
-// host node, offload target, applications by registry name, workload,
-// controller policy — and ScenarioTestbed turns it into a wired topology:
+// deployments of registry-named applications, an optional ToR, workload,
+// fault plan — and ScenarioTestbed turns it into a wired topology. Every
+// deployment is a member (host, ingress device, offload placement), so the
+// paper's §4.1 chain (client -- device -- host) is a ToR-less spec with one
+// member whose ingress device takes the client link:
 //
 //   ScenarioSpec spec;
-//   spec.host.apps = {"kvs"};
-//   spec.target.kind = ScenarioTargetKind::kFpgaNic;
-//   spec.target.app = "kvs";                  // LaKe, via the AppRegistry
+//   ScenarioMemberSpec& kvs = spec.members.emplace_back();
+//   kvs.host.apps = {"kvs"};
+//   kvs.target.kind = ScenarioTargetKind::kFpgaNic;
+//   kvs.target.app = "kvs";                   // LaKe, via the AppRegistry
 //   ScenarioTestbed testbed(sim, spec);
 //
-// covers the paper's §4.1 chain family (client -- device -- host) that the
-// KVS and DNS testbeds, the Fig 3/4/6 benches, and the §9.1 controller
-// experiments all share. Apps are created through AppRegistry, so a new
-// application reaches every spec-built scenario by registering one factory.
+// and the §9 rack is the same members hanging off a ToR (tor.present). The
+// KVS and DNS testbeds, the Fig 3/4/6 benches, the mixed rack and every row
+// rack share this one build path. Apps are created through AppRegistry, so
+// a new application reaches every spec-built scenario by registering one
+// factory.
 #ifndef INCOD_SRC_SCENARIOS_SCENARIO_SPEC_H_
 #define INCOD_SRC_SCENARIOS_SCENARIO_SPEC_H_
 
@@ -25,8 +30,6 @@
 #include "src/app/app_registry.h"
 #include "src/device/switch_offload.h"
 #include "src/fault/fault_injector.h"
-#include "src/ondemand/controller.h"
-#include "src/ondemand/migrator.h"
 #include "src/scenarios/testbed_builder.h"
 
 namespace incod {
@@ -67,24 +70,28 @@ struct ScenarioTorSpec {
   bool metered = false;          // ASIC only; an L2 switch draws no modeled power.
 };
 
-// One deployment hanging off the scenario ToR: an optional host with
-// registry apps, an optional ingress device (conventional NIC, FPGA NIC, or
-// SmartNIC, possibly carrying an offload placement of the same app), and
-// optionally a switch-hosted placement loaded into the ASIC pipeline. Dual deployments
-// (Fig 7's software + P4xos leader on one host/NIC pair) are expressed by
-// filling both host.apps and target.app with target.initially_active=false.
+// One deployment: an optional host with registry apps, an optional ingress
+// device (conventional NIC, FPGA NIC, or SmartNIC, possibly carrying an
+// offload placement of the same app), and optionally a switch-hosted
+// placement loaded into the ASIC pipeline. It hangs off the scenario ToR,
+// or — in a ToR-less spec — its ingress device takes the client link. Dual
+// deployments (Fig 7's software + P4xos leader on one host/NIC pair) are
+// expressed by filling both host.apps and target.app with
+// target.initially_active=false.
 struct ScenarioMemberSpec {
   std::string name;      // Diagnostics / member lookup.
   ScenarioHostSpec host;
   ScenarioTargetSpec target;
   // Aux host: never bottlenecks, never metered, auto-wired to the ToR
-  // (acceptors, learners). Must not carry a target.
+  // (acceptors, learners). Needs a ToR; must not carry a target.
   bool aux = false;
   int aux_cores = 4;
   // Nodes routed to this member's switch port (host node, device node,
   // service addresses). Aux members route their host node automatically.
   std::vector<NodeId> switch_routes;
   Link::Config switch_link = TestbedBuilder::TenGigLink();
+  // Name of the member's network link (the ToR link, or the client link in
+  // a ToR-less spec); its PCIe hop is "<link_name>-pcie".
   std::string link_name = "10ge";
   // Registry app loaded into the ASIC pipeline (kSwitchAsic placement),
   // wrapped in a SwitchOffloadTarget for migrators/orchestrators.
@@ -112,15 +119,6 @@ struct ScenarioWorkloadSpec {
   LoadClientConfig client;
 };
 
-// Declarative on-demand policy: a §9.1 network controller driving a
-// classifier migrator with the chosen §9.2 park policy.
-struct ScenarioControllerSpec {
-  bool present = false;
-  ParkPolicy park_policy = ParkPolicy::kGatedPark;
-  bool transfer_state = false;  // Generic state transfer on each shift.
-  NetworkControllerConfig network;
-};
-
 // Rack-wide congestion-control knobs, applied to the spec at Build(). When
 // `enabled`, every built link (client uplinks, member ToR links, PCIe hops)
 // gets the PFC/ECN template below, every built server pauses its uplink at
@@ -137,7 +135,7 @@ struct ScenarioFlowSpec {
 };
 
 // Opt-in mechanistic host-NIC datapath, applied at Build(). When `enabled`,
-// every conventional-NIC target/member gets the HostNicSpec datapath (RSS
+// every conventional-NIC member gets the HostNicSpec datapath (RSS
 // rx rings, interrupt moderation toward kernel hosts / poll draining toward
 // DPDK hosts, tx doorbell batching — host_interrupts is derived from each
 // host's NetStackType), and every built server switches to the `dispatch`
@@ -161,17 +159,15 @@ struct ScenarioSpec {
   // and any migrators live here. Clients may be placed in other shards via
   // AddTorClient's shard argument. Ignored for plain Simulation builds.
   int shard = 0;
-  ScenarioHostSpec host;
-  ScenarioTargetSpec target;
   Link::Config client_link = TestbedBuilder::TenGigLink();
   ScenarioFlowSpec flow;
   ScenarioHostNicSpec hostnic;
+  // Accepted only on a ToR-less spec: attached to the member's ingress.
   ScenarioWorkloadSpec workload;
-  ScenarioControllerSpec controller;
-  // Shared factory resources/knobs (zone, paxos group, per-family configs).
+  // Shared factory resources: members inherit zone and paxos_group.
   AppFactoryEnv env;
-  // Switch-centric topology: when tor.present, `members` are built hanging
-  // off the ToR (the single-chain host/target above may stay empty).
+  // With tor.present, `members` hang off the ToR; without, there must be
+  // exactly one member, and its ingress device takes the client link.
   ScenarioTorSpec tor;
   std::vector<ScenarioMemberSpec> members;
   // Owned Paxos group, so switch-centric specs are self-contained literals:
@@ -181,8 +177,8 @@ struct ScenarioSpec {
   // against what the testbed registered: every built server / ToR by its
   // SinkName (whole-node death), every offload-capable device by both its
   // TargetName ("device/app") and bare device name (engine death — the
-  // device keeps forwarding), every link by the spec's link name (plus
-  // "<link>-pcie" for the member PCIe hops).
+  // device keeps forwarding), and every member link by its link_name (plus
+  // "<link_name>-pcie" for the PCIe hops).
   FaultPlanSpec faults;
 };
 
@@ -194,7 +190,8 @@ struct ScenarioMember {
   FpgaNic* fpga = nullptr;
   ConventionalNic* nic = nullptr;
   SmartNic* smartnic = nullptr;
-  int port = -1;  // ToR port of the member's ingress device (-1: aux-wired).
+  // ToR port of the member's ingress device (-1: aux-wired or ToR-less).
+  int port = -1;
   std::vector<std::unique_ptr<App>> host_apps;
   std::unique_ptr<App> offload_app;
   // Switch-hosted placement (when spec.switch_app was set).
@@ -207,8 +204,8 @@ struct ScenarioMember {
 RequestFactory MakeScenarioRequestFactory(const ScenarioWorkloadSpec& workload,
                                           NodeId service, const Zone* zone);
 
-// A testbed built from a spec. Owns the registry-created apps, the
-// migrator/controller when requested, and everything TestbedBuilder owns.
+// A testbed built from a spec. Owns the registry-created apps and
+// everything TestbedBuilder owns.
 class ScenarioTestbed {
  public:
   ScenarioTestbed(Simulation& sim, ScenarioSpec spec);
@@ -222,19 +219,13 @@ class ScenarioTestbed {
   TestbedBuilder& builder() { return builder_; }
   WallPowerMeter& meter() { return builder_.meter(); }
 
-  // Null when the spec lacks the component.
-  Server* server() { return server_; }
-  FpgaNic* fpga() { return fpga_; }
-  ConventionalNic* nic() { return nic_; }
-  SmartNic* smartnic() { return smartnic_; }
+  // The AddClient client; null until one is attached.
   LoadClient* client() { return client_; }
-  ClassifierMigrator* migrator() { return migrator_.get(); }
-  NetworkController* controller() { return controller_.get(); }
   // Always present: the spec's fault plan was armed against it at Build();
   // callers may register more entities (or a power-cap handler) afterwards.
   FaultInjector& faults() { return *faults_; }
 
-  // --- Switch-centric topology (spec.tor / spec.members) ---
+  // --- Topology (spec.tor / spec.members) ---
   L2Switch* tor() { return tor_; }
   SwitchAsic* tor_asic() { return tor_asic_; }  // Null for a plain L2 ToR.
   size_t member_count() const { return members_.size(); }
@@ -251,24 +242,13 @@ class ScenarioTestbed {
     return dynamic_cast<T*>(members_.at(index).offload_app.get());
   }
 
-  // Registry-built applications. Index follows spec order.
-  App* host_app(size_t index = 0);
-  App* offload_app() { return offload_app_.get(); }
-  template <typename T>
-  T* host_app_as(size_t index = 0) {
-    return dynamic_cast<T*>(host_app(index));
-  }
-  template <typename T>
-  T* offload_app_as() {
-    return dynamic_cast<T*>(offload_app_.get());
-  }
-
-  // Address clients should target (the host node, or the device when
-  // standalone).
+  // Address clients should target: member 0's host node, or its device
+  // when hostless.
   NodeId ServiceNode() const;
 
-  // Attaches the (single) open-loop client to the testbed ingress. The
-  // spec's workload (if any) was already attached at construction.
+  // ToR-less specs: attaches the (single) open-loop client to member 0's
+  // ingress device. The spec's workload (if any) was already attached at
+  // construction.
   LoadClient& AddClient(LoadClientConfig config, std::unique_ptr<ArrivalProcess> arrival,
                         RequestFactory factory);
   // Switch-centric scenarios: attaches an open-loop client to the ToR
@@ -281,46 +261,33 @@ class ScenarioTestbed {
 
  private:
   void Build();
-  // Stamps spec_.flow onto every link/host/client config before building.
+  // Stamps spec_.flow onto every link/host config before building.
   void ApplyFlowSpec();
+  // Gives a client the spec's DCQCN rate machine when flow control is on
+  // with dcqcn and the client has none of its own.
+  void ApplyDcqcn(LoadClientConfig& config) const;
   // Stamps spec_.hostnic onto every host config before building (the NIC
-  // side is resolved per conventional-NIC target in BuildTarget/BuildMember,
-  // where the host's stack type is known).
+  // side is resolved per conventional-NIC member in BuildMember, where the
+  // host's stack type is known).
   void ApplyHostNicSpec();
   // spec_.hostnic resolved against one host's stack type.
   HostNicSpec ResolveHostNic(const ServerConfig& host_config) const;
-  void BuildHost();
-  void BuildTarget();
   void BuildWorkload();
-  void BuildController();
   void BuildTor();
-  void BuildMembers();
   void BuildMember(const ScenarioMemberSpec& member_spec);
   // Registers every built entity with the fault injector and arms the
   // spec's plan (last build step, so all names are resolvable).
   void BuildFaults();
   // Member env with null shared resources resolved against the spec level.
   AppFactoryEnv ResolveEnv(const AppFactoryEnv& env) const;
-  // The offload board, whichever kind the spec built; null when none.
-  OffloadNic* offload_nic() const {
-    return fpga_ != nullptr ? static_cast<OffloadNic*>(fpga_) : smartnic_;
-  }
 
   Simulation& sim_;
   ScenarioSpec spec_;
   TestbedBuilder builder_;
-  Server* server_ = nullptr;
-  FpgaNic* fpga_ = nullptr;
-  ConventionalNic* nic_ = nullptr;
-  SmartNic* smartnic_ = nullptr;
   LoadClient* client_ = nullptr;
   L2Switch* tor_ = nullptr;
   SwitchAsic* tor_asic_ = nullptr;
   std::vector<ScenarioMember> members_;
-  std::vector<std::unique_ptr<App>> host_apps_;
-  std::unique_ptr<App> offload_app_;
-  std::unique_ptr<ClassifierMigrator> migrator_;
-  std::unique_ptr<NetworkController> controller_;
   std::unique_ptr<FaultInjector> faults_;
 };
 

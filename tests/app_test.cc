@@ -361,13 +361,13 @@ KvsShiftResult RunKvsShift(MakeMigrator make_migrator) {
   return result;
 }
 
-TEST(StateTransferMigratorTest, MatchesClassifierMigratorWhenTransferOff) {
-  // Differential check: the generic core configured like the pre-redesign
-  // ClassifierMigrator produces identical results.
+TEST(StateTransferMigratorTest, AppsWithTransferOffMatchBareClassifierFlip) {
+  // Differential check: handing the migrator both placements with the
+  // transfer off gives the same results as the bare classifier flip.
   const KvsShiftResult classic = RunKvsShift([](Simulation& sim, KvsTestbed& testbed) {
-    return std::make_unique<ClassifierMigrator>(
+    return std::make_unique<StateTransferMigrator>(
         sim, *testbed.fpga(),
-        ClassifierMigrator::Options::FromPolicy(ParkPolicy::kGatedPark));
+        StateTransferMigrator::Options::FromPolicy(ParkPolicy::kGatedPark));
   });
   const KvsShiftResult generic = RunKvsShift([](Simulation& sim, KvsTestbed& testbed) {
     StateTransferMigrator::Options options =
@@ -494,15 +494,16 @@ TEST(StateTransferMigratorTest, DnsShiftTransfersZoneWarmth) {
   EXPECT_EQ(warm.emu_nxdomain, 0u);
 }
 
-TEST(StateTransferMigratorTest, DnsGenericCoreMatchesClassifierMigrator) {
+TEST(StateTransferMigratorTest, DnsAppsWithTransferOffMatchBareClassifierFlip) {
   // Differential: with the transfer disabled and a shared zone (the
-  // pre-redesign wiring), the generic core and ClassifierMigrator produce
-  // identical results.
+  // pre-redesign wiring), a migrator given both placements and the bare
+  // classifier flip produce identical results.
   const DnsShiftResult classic = RunDnsShift(
       /*device_zone_empty=*/false,
       [](Simulation& sim, FpgaNic& fpga, NsdServer&, EmuDns&) {
-        return std::make_unique<ClassifierMigrator>(
-            sim, fpga, ClassifierMigrator::Options::FromPolicy(ParkPolicy::kGatedPark));
+        return std::make_unique<StateTransferMigrator>(
+            sim, fpga,
+            StateTransferMigrator::Options::FromPolicy(ParkPolicy::kGatedPark));
       });
   const DnsShiftResult generic = RunDnsShift(
       /*device_zone_empty=*/false,

@@ -4,16 +4,17 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "src/kvs/kv_protocol.h"
+#include "src/power/cpu_power.h"
 #include "src/row/row_scenario.h"
 #include "src/row/row_spec.h"
 #include "src/scenarios/kvs_testbed.h"
 #include "src/scenarios/multi_rack.h"
 #include "src/scenarios/rack_scenario.h"
-#include "src/scenarios/trace_rack.h"
 #include "src/sim/sharded.h"
 #include "src/sim/simulation.h"
 #include "src/workload/arrival.h"
@@ -372,32 +373,70 @@ TEST(EngineDiffTest, ShardedHostNicRackIdenticalToSingleQueue) {
   }
 }
 
-ShardedScenarioResult RunShardedTraceRack(Mode mode, int threads, uint64_t seed) {
-  ShardedSimulation ssim(ShardOptions(mode, 3, threads, seed));
-  TraceRackOptions options;
-  options.trace = {.num_tasks = 500, .num_nodes = 2};
-  options.sim_horizon = Milliseconds(20);
-  options.trace_seed = seed;
-  TraceRackScenario rack(ssim, TraceRackShardPlan{}, options);
-  rack.Start();
+// The §9.3 trace-driven rack as a one-rack row: KVS and DNS members with
+// parked FPGA placements under the rack orchestrator, the row trace
+// modulating host load. The clients live in the spine shard, so their ToR
+// links are cross-shard boundaries.
+ShardedScenarioResult RunShardedTraceRow(Mode mode, int threads, uint64_t seed) {
+  ShardedSimulation ssim(ShardOptions(mode, 2, threads, seed));
+  RowSpec spec;
+  spec.trace.enabled = true;
+  spec.trace.trace = {.num_tasks = 500, .num_nodes = 2};
+  spec.trace.sim_horizon = Milliseconds(20);
+  spec.trace.seed = seed;
+  RowRackSpec& rack = spec.racks.emplace_back();
+  rack.scenario.name = "trace-rack";
+  rack.scenario.tor.present = true;
+  rack.scenario.tor.asic = true;
+  rack.scenario.tor.metered = true;
+  rack.scenario.client_link.propagation_delay = Microseconds(2);
+  rack.orchestrate = true;
+  const std::vector<std::pair<std::string, ScenarioWorkloadSpec::Kind>> apps = {
+      {"kvs", ScenarioWorkloadSpec::Kind::kKvUniformGets},
+      {"dns", ScenarioWorkloadSpec::Kind::kDnsQueries}};
+  for (size_t i = 0; i < apps.size(); ++i) {
+    const NodeId host = 1 + static_cast<NodeId>(i);
+    const NodeId device = 50 + static_cast<NodeId>(i);
+    ScenarioMemberSpec& member = rack.scenario.members.emplace_back();
+    member.name = apps[i].first + "-" + std::to_string(i);
+    member.link_name = member.name + "-10ge";
+    member.host.config.name = member.name + "-host";
+    member.host.config.node = host;
+    member.host.config.power_curve = I7SyntheticCurve();
+    member.host.apps = {apps[i].first};
+    member.target.kind = ScenarioTargetKind::kFpgaNic;
+    member.target.name = member.name + "-netfpga";
+    member.target.device_node = device;
+    member.target.app = apps[i].first;
+    member.target.initially_active = false;
+    member.switch_routes = {host, device};
+    RowClientSpec& client = rack.clients.emplace_back();
+    client.client.node = 100 + static_cast<NodeId>(i);
+    client.rate_per_second = 150000;
+    client.workload.kind = apps[i].second;
+    client.service = host;
+    client.shard = 1;  // The spine shard.
+    rack.apps.push_back(RowAppSpec{.member = i});
+  }
+  RowScenario row(ssim, std::move(spec));
+  row.Start();
   ssim.RunUntil(Milliseconds(15));
 
   ShardedScenarioResult result;
   result.events = ssim.events_executed();
-  for (size_t i = 0; i < rack.app_count(); ++i) {
-    AppendClient(&result, rack.client(i));
+  for (size_t i = 0; i < row.client_count(0); ++i) {
+    AppendClient(&result, row.client(0, i));
   }
-  result.watts = rack.meter().MeanWatts(0, Milliseconds(15));
+  result.watts = row.rack(0).meter().MeanWatts(0, Milliseconds(15));
   return result;
 }
 
-TEST(EngineDiffTest, ShardedTraceRackIdenticalToSingleQueue) {
+TEST(EngineDiffTest, ShardedTraceRowIdenticalToSingleQueue) {
   for (const uint64_t seed : {7u, 11u, 13u}) {
     const ShardedScenarioResult reference =
-        RunShardedTraceRack(Mode::kSingleQueue, 1, seed);
+        RunShardedTraceRow(Mode::kSingleQueue, 1, seed);
     EXPECT_GT(reference.events, 20000u);
-    const ShardedScenarioResult parallel =
-        RunShardedTraceRack(Mode::kParallel, 4, seed);
+    const ShardedScenarioResult parallel = RunShardedTraceRow(Mode::kParallel, 4, seed);
     ExpectIdentical(reference, parallel, seed);
   }
 }

@@ -1,5 +1,5 @@
 // Flow-control tests: the DCQCN sender rate machine in isolation, and the
-// end-to-end backpressure contract — an overloaded single-chain service
+// end-to-end backpressure contract — an overloaded §4.1-chain service
 // drops on queue overflow with flow control off, and converts that loss
 // into pause propagation + sender slowdown with flow control on.
 #include <gtest/gtest.h>
@@ -161,7 +161,7 @@ TEST(DcqcnTest, PacerCapacityDropsExcessSubmissions) {
   EXPECT_EQ(ctrl.pacer_dropped(), 3u);
 }
 
-// The end-to-end contract. One overloaded single-chain KVS service
+// The end-to-end contract. One overloaded §4.1-chain KVS service
 // (client -- conventional NIC -- 1-core host), driven well past host
 // capacity. With flow control off the host rx queue overflows and requests
 // are silently dropped; with the same offered load and flow control on, the
@@ -171,12 +171,13 @@ TEST(DcqcnTest, PacerCapacityDropsExcessSubmissions) {
 ScenarioSpec OverloadedKvsSpec(bool flow_on) {
   ScenarioSpec spec;
   spec.name = flow_on ? "overload-flow" : "overload-drop";
-  spec.host.config.name = "kvs-host";
-  spec.host.config.node = 1;
-  spec.host.config.num_cores = 1;
-  spec.host.apps = {"kvs"};
-  spec.target.kind = ScenarioTargetKind::kConventionalNic;
-  spec.target.device_node = 50;
+  ScenarioMemberSpec& kvs = spec.members.emplace_back();
+  kvs.host.config.name = "kvs-host";
+  kvs.host.config.node = 1;
+  kvs.host.config.num_cores = 1;
+  kvs.host.apps = {"kvs"};
+  kvs.target.kind = ScenarioTargetKind::kConventionalNic;
+  kvs.target.device_node = 50;
   spec.workload.kind = ScenarioWorkloadSpec::Kind::kKvUniformGets;
   spec.workload.rate_per_second = 2.0e6;
   spec.workload.keyspace = 64;
@@ -193,13 +194,14 @@ TEST(FlowScenarioTest, OverloadDropsWithoutFlowControl) {
   Simulation sim(42);
   ScenarioTestbed testbed(sim, OverloadedKvsSpec(false));
   sim.RunUntil(Milliseconds(20));
-  ASSERT_NE(testbed.server(), nullptr);
+  Server* server = testbed.member(0).server;
+  ASSERT_NE(server, nullptr);
   ASSERT_NE(testbed.client(), nullptr);
   EXPECT_GT(testbed.client()->received(), 0u);
   // Drop-tail regime: the 1-core host cannot absorb 2M req/s and sheds load.
-  EXPECT_GT(testbed.server()->requests_dropped(), 0u);
-  EXPECT_EQ(testbed.server()->pause_frames_sent(), 0u);
-  EXPECT_EQ(testbed.server()->cnps_sent(), 0u);
+  EXPECT_GT(server->requests_dropped(), 0u);
+  EXPECT_EQ(server->pause_frames_sent(), 0u);
+  EXPECT_EQ(server->cnps_sent(), 0u);
   EXPECT_EQ(testbed.client()->dcqcn(), nullptr);
 }
 
@@ -207,7 +209,7 @@ TEST(FlowScenarioTest, OverloadBackpressuresWithFlowControl) {
   Simulation sim(42);
   ScenarioTestbed testbed(sim, OverloadedKvsSpec(true));
   sim.RunUntil(Milliseconds(20));
-  Server* server = testbed.server();
+  Server* server = testbed.member(0).server;
   LoadClient* client = testbed.client();
   ASSERT_NE(server, nullptr);
   ASSERT_NE(client, nullptr);
@@ -226,8 +228,8 @@ TEST(FlowScenarioTest, OverloadBackpressuresWithFlowControl) {
   // machine below line rate.
   EXPECT_GT(server->pause_frames_sent(), 0u);
   EXPECT_GT(pcie->paused_deferred(server), 0u);
-  ASSERT_NE(testbed.nic(), nullptr);
-  EXPECT_GT(testbed.nic()->pause_propagations(), 0u);
+  ASSERT_NE(testbed.member(0).nic, nullptr);
+  EXPECT_GT(testbed.member(0).nic->pause_propagations(), 0u);
   EXPECT_GT(server->cnps_sent(), 0u);
   ASSERT_NE(client->dcqcn(), nullptr);
   EXPECT_GT(client->dcqcn()->cnps_received(), 0u);

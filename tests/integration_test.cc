@@ -152,10 +152,10 @@ TEST(KvsIntegrationTest, Fig6StyleHostControlledTransition) {
                                    std::make_unique<PoissonArrival>(100000.0),
                                    etc.MakeFactory());
 
-  ClassifierMigrator::Options migrate_options;
+  StateTransferMigrator::Options migrate_options;
   migrate_options.clock_gate_when_idle = false;  // Fig 6 ran without gating.
   migrate_options.reset_memories_when_idle = false;
-  ClassifierMigrator migrator(sim, *testbed.fpga(), migrate_options);
+  StateTransferMigrator migrator(sim, *testbed.fpga(), migrate_options);
   RaplCounter rapl(sim, [&] { return testbed.server()->RaplPackageWatts(); });
   rapl.Start();
   HostControllerConfig controller_config;
@@ -255,7 +255,7 @@ TEST(DnsIntegrationTest, NetworkControlledShift) {
   auto& client =
       testbed.AddClient(LoadClientConfig{}, std::make_unique<ConstantArrival>(300000.0),
                         MakeDnsRequestFactory(workload));
-  ClassifierMigrator migrator(sim, *testbed.fpga());
+  StateTransferMigrator migrator(sim, *testbed.fpga());
   NetworkControllerConfig controller_config;
   controller_config.up_rate_pps = 150000;
   controller_config.up_window = Seconds(1);

@@ -295,8 +295,9 @@ TEST(SwitchOffloadTargetTest, KilledProgramUnloadsAndStaysDead) {
 
 TEST(ControllerPortabilityTest, NetworkControllerDrivesSwitchTarget) {
   SwitchTargetHarness h;
-  ClassifierMigrator migrator(h.sim, *h.target,
-                              ClassifierMigrator::Options::FromPolicy(ParkPolicy::kKeepWarm));
+  StateTransferMigrator migrator(
+      h.sim, *h.target,
+      StateTransferMigrator::Options::FromPolicy(ParkPolicy::kKeepWarm));
   NetworkControllerConfig config;
   config.up_rate_pps = 50000;
   config.up_window = Milliseconds(200);

@@ -6,15 +6,18 @@
 #include <cmath>
 #include <memory>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "src/kvs/lake.h"
 #include "src/kvs/memcached_server.h"
 #include "src/ondemand/energy_advisor.h"
 #include "src/ondemand/rack.h"
+#include "src/power/cpu_power.h"
+#include "src/row/row_scenario.h"
 #include "src/scenarios/paxos_testbed.h"
 #include "src/scenarios/rack_scenario.h"
 #include "src/scenarios/scenario_spec.h"
-#include "src/scenarios/trace_rack.h"
 #include "src/sim/simulation.h"
 #include "src/workload/arrival.h"
 #include "src/workload/etc_workload.h"
@@ -580,8 +583,6 @@ TEST(RackWarmMigrationTest, ScenarioSpecRackWarmShiftsKvsOntoSmartNic) {
 
     ScenarioSpec spec;
     spec.name = "smartnic-rack";
-    spec.host.present = false;
-    spec.target.kind = ScenarioTargetKind::kNone;
     spec.tor.present = true;
     ScenarioMemberSpec member;
     member.name = "kvs";
@@ -773,30 +774,71 @@ TEST(RackWarmMigrationTest, WarmShiftPreservesPaxosBallotAndSequence) {
   EXPECT_GT(cold.client_retries, 0u);
 }
 
-// The trace-driven rack: registry-name-only apps under the orchestrator,
-// with the Google-trace background load driving the placement decisions.
-TEST(TraceRackScenarioTest, TraceLoadDrivesGenericWarmShifts) {
-  Simulation sim(/*seed=*/13);
-  TraceRackOptions options;
-  options.sim_horizon = Seconds(2);
-  options.trace.num_tasks = 400;
-  options.orchestrator.min_dwell = Milliseconds(300);
-  TraceRackScenario rack(sim, options);
-  ASSERT_EQ(rack.app_count(), 2u);
-  for (size_t i = 0; i < rack.app_count(); ++i) {
-    rack.migrator(i);  // Generic core only; apps are plain incod::App.
-    EXPECT_NE(rack.host_app(i), nullptr);
-    EXPECT_NE(rack.offload_app(i), nullptr);
+// The trace-driven rack (§9.3) as a one-rack row: registry-name-only apps,
+// each with a parked FPGA placement, under the rack orchestrator, with the
+// row's Google-trace playback driving the hosts' background load and so the
+// placement decisions.
+TEST(TraceRowTest, TraceLoadDrivesGenericWarmShifts) {
+  ShardedSimulation::Options sharded;
+  sharded.num_shards = 2;  // The rack plus the spine.
+  sharded.mode = ShardedSimulation::Mode::kSingleQueue;
+  sharded.seed = 13;
+  ShardedSimulation ssim(sharded);
+
+  RowSpec spec;
+  spec.trace.enabled = true;
+  spec.trace.trace = {.num_tasks = 400, .num_nodes = 2};
+  spec.trace.sim_horizon = Seconds(2);
+  RowRackSpec& rack = spec.racks.emplace_back();
+  rack.scenario.name = "trace-rack";
+  rack.scenario.tor.present = true;
+  rack.scenario.tor.asic = true;
+  rack.scenario.tor.metered = true;
+  rack.orchestrate = true;
+  rack.orchestrator.min_dwell = Milliseconds(300);
+  const std::vector<std::pair<std::string, ScenarioWorkloadSpec::Kind>> apps = {
+      {"kvs", ScenarioWorkloadSpec::Kind::kKvUniformGets},
+      {"dns", ScenarioWorkloadSpec::Kind::kDnsQueries}};
+  for (size_t i = 0; i < apps.size(); ++i) {
+    const NodeId host = 1 + static_cast<NodeId>(i);
+    const NodeId device = 50 + static_cast<NodeId>(i);
+    ScenarioMemberSpec& member = rack.scenario.members.emplace_back();
+    member.name = apps[i].first + "-" + std::to_string(i);
+    member.link_name = member.name + "-10ge";
+    member.host.config.name = member.name + "-host";
+    member.host.config.node = host;
+    member.host.config.num_cores = 4;
+    member.host.config.power_curve = I7SyntheticCurve();
+    member.host.apps = {apps[i].first};
+    member.target.kind = ScenarioTargetKind::kFpgaNic;
+    member.target.name = member.name + "-netfpga";
+    member.target.device_node = device;
+    member.target.app = apps[i].first;
+    member.target.initially_active = false;  // The migrator parks it.
+    member.switch_routes = {host, device};
+    RowClientSpec& client = rack.clients.emplace_back();
+    client.client.node = 100 + static_cast<NodeId>(i);
+    client.rate_per_second = 150000;
+    client.workload.kind = apps[i].second;
+    client.service = host;
+    rack.apps.push_back(RowAppSpec{.member = i});
   }
-  rack.Start();
-  sim.RunUntil(Seconds(2));
+  RowScenario row(ssim, std::move(spec));
+  ASSERT_EQ(row.app_count(0), 2u);
+  for (size_t i = 0; i < row.app_count(0); ++i) {
+    row.migrator(0, i);  // Generic core only; apps are plain incod::App.
+    EXPECT_NE(row.rack(0).member_host_app_as<App>(i), nullptr);
+    EXPECT_NE(row.rack(0).member_offload_app_as<App>(i), nullptr);
+  }
+  row.Start();
+  ssim.RunUntil(Seconds(2));
   // The compressed 24 h trace kept the hosts busy enough that at least one
   // app was pushed into the network at some point.
-  EXPECT_GT(rack.orchestrator().total_shifts(), 0u);
-  for (size_t i = 0; i < rack.app_count(); ++i) {
-    EXPECT_GT(rack.client(i).received(), 0u);
+  EXPECT_GT(row.rack_orchestrator(0)->total_shifts(), 0u);
+  for (size_t i = 0; i < row.client_count(0); ++i) {
+    EXPECT_GT(row.client(0, i).received(), 0u);
   }
-  EXPECT_GT(rack.trace_tasks().size(), 0u);
+  EXPECT_GT(row.trace_tasks().size(), 0u);
 }
 
 // ---- Acceptance: one rack, FPGA NIC + switch ASIC, shared ledger ----

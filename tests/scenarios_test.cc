@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -490,8 +491,6 @@ MultiRackRunResult RunHandWiredMultiRack(ShardedSimulation::Mode mode, int threa
     spec.name = "rack-" + std::to_string(r);
     spec.shard = r;
     spec.meter_period = options.meter_period;
-    spec.host.present = false;
-    spec.target.kind = ScenarioTargetKind::kNone;
     spec.env.zone = &zone;
     spec.tor.present = true;
     spec.tor.asic = false;
@@ -667,6 +666,180 @@ TEST(MultiRackTest, VeneerExposesRowWiring) {
             MultiRackScenario::KvsHostNode(1));
   EXPECT_EQ(spec.racks[1].clients[0].workload.cross_service,
             MultiRackScenario::KvsHostNode(0));
+}
+
+// --- ScenarioSpec validation: every malformed spec is rejected at build ---
+
+// A member the specs below start from: host + LaKe FPGA NIC.
+ScenarioMemberSpec ValidKvsMember() {
+  ScenarioMemberSpec member;
+  member.name = "kvs";
+  member.host.config.node = 1;
+  member.host.apps = {"kvs"};
+  member.target.kind = ScenarioTargetKind::kFpgaNic;
+  member.target.device_node = 50;
+  member.target.app = "kvs";
+  member.switch_routes = {1, 50};
+  return member;
+}
+
+ScenarioSpec TorSpec(bool asic) {
+  ScenarioSpec spec;
+  spec.tor.present = true;
+  spec.tor.asic = asic;
+  spec.members.push_back(ValidKvsMember());
+  return spec;
+}
+
+// The §4.1 chain: one member, no ToR.
+ScenarioSpec ChainSpec() {
+  ScenarioSpec spec;
+  spec.members.push_back(ValidKvsMember());
+  return spec;
+}
+
+TEST(ScenarioSpecTest, MalformedSpecsThrowInvalidArgument) {
+  struct Case {
+    const char* name;
+    std::function<ScenarioSpec()> make;
+  };
+  const std::vector<Case> cases = {
+      {"hostless chain without an FPGA",
+       [] {
+         ScenarioSpec spec = ChainSpec();
+         spec.members[0].host.present = false;
+         spec.members[0].host.apps.clear();
+         spec.members[0].target.kind = ScenarioTargetKind::kNone;
+         return spec;
+       }},
+      {"chain host without an ingress device",
+       [] {
+         ScenarioSpec spec = ChainSpec();
+         spec.members[0].target.kind = ScenarioTargetKind::kNone;
+         return spec;
+       }},
+      {"chain conventional NIC without a host",
+       [] {
+         ScenarioSpec spec = ChainSpec();
+         spec.members[0].host.present = false;
+         spec.members[0].host.apps.clear();
+         spec.members[0].target.kind = ScenarioTargetKind::kConventionalNic;
+         spec.members[0].target.app.clear();
+         return spec;
+       }},
+      {"chain SmartNIC without a host",
+       [] {
+         ScenarioSpec spec = ChainSpec();
+         spec.members[0].host.present = false;
+         spec.members[0].host.apps.clear();
+         spec.members[0].target.kind = ScenarioTargetKind::kSmartNic;
+         return spec;
+       }},
+      {"chain with an aux member",
+       [] {
+         ScenarioSpec spec = ChainSpec();
+         spec.members[0].aux = true;
+         spec.members[0].target.kind = ScenarioTargetKind::kNone;
+         return spec;
+       }},
+      {"spec without a ToR and without members",
+       [] {
+         ScenarioSpec spec = ChainSpec();
+         spec.members.clear();
+         return spec;
+       }},
+      {"spec without a ToR and with two members",
+       [] {
+         ScenarioSpec spec = ChainSpec();
+         spec.members.push_back(ValidKvsMember());
+         spec.members[1].name = "kvs-2";
+         return spec;
+       }},
+      {"member conventional NIC without a host",
+       [] {
+         ScenarioSpec spec = TorSpec(false);
+         spec.members[0].host.present = false;
+         spec.members[0].host.apps.clear();
+         spec.members[0].target.kind = ScenarioTargetKind::kConventionalNic;
+         spec.members[0].target.app.clear();
+         return spec;
+       }},
+      {"member SmartNIC without a host",
+       [] {
+         ScenarioSpec spec = TorSpec(false);
+         spec.members[0].host.present = false;
+         spec.members[0].host.apps.clear();
+         spec.members[0].target.kind = ScenarioTargetKind::kSmartNic;
+         return spec;
+       }},
+      {"non-aux member host without an ingress device",
+       [] {
+         ScenarioSpec spec = TorSpec(false);
+         spec.members[0].target.kind = ScenarioTargetKind::kNone;
+         return spec;
+       }},
+      {"aux member carrying a target",
+       [] {
+         ScenarioSpec spec = TorSpec(false);
+         spec.members[0].aux = true;
+         return spec;
+       }},
+      {"aux member carrying a switch app",
+       [] {
+         ScenarioSpec spec = TorSpec(true);
+         spec.members[0].aux = true;
+         spec.members[0].target.kind = ScenarioTargetKind::kNone;
+         spec.members[0].switch_app = "kvs";
+         return spec;
+       }},
+      {"switch app without an ASIC ToR",
+       [] {
+         ScenarioSpec spec = TorSpec(false);
+         spec.members[0].switch_app = "kvs";
+         return spec;
+       }},
+      {"declarative workload on a ToR spec",
+       [] {
+         ScenarioSpec spec = TorSpec(false);
+         spec.workload.kind = ScenarioWorkloadSpec::Kind::kKvUniformGets;
+         return spec;
+       }},
+  };
+  // The specs the cases start from are well formed: each throw below is the
+  // one defect the case introduces.
+  {
+    Simulation sim(1);
+    EXPECT_NO_THROW(ScenarioTestbed(sim, ChainSpec()));
+  }
+  for (const bool asic : {false, true}) {
+    Simulation sim(1);
+    EXPECT_NO_THROW(ScenarioTestbed(sim, TorSpec(asic))) << "asic " << asic;
+  }
+  for (const Case& c : cases) {
+    Simulation sim(1);
+    EXPECT_THROW(ScenarioTestbed(sim, c.make()), std::invalid_argument) << c.name;
+  }
+}
+
+// Only a ToR-less spec has an ingress for AddClient; a ToR takes
+// AddTorClient clients instead.
+TEST(ScenarioSpecTest, AddClientNeedsSpecWithoutTor) {
+  auto factory = [](NodeId src, uint64_t id, SimTime now, Rng&) {
+    return MakeKvRequestPacket(src, 1, KvRequest{}, id, now);
+  };
+  Simulation sim(1);
+  ScenarioTestbed rack(sim, TorSpec(false));
+  EXPECT_THROW(rack.AddClient(LoadClientConfig{},
+                              std::make_unique<ConstantArrival>(1000.0), factory),
+               std::logic_error);
+  ScenarioTestbed chain(sim, ChainSpec());
+  EXPECT_THROW(chain.AddTorClient(LoadClientConfig{},
+                                  std::make_unique<ConstantArrival>(1000.0), factory),
+               std::logic_error);
+  LoadClient& client = chain.AddClient(
+      LoadClientConfig{}, std::make_unique<ConstantArrival>(1000.0), factory);
+  EXPECT_EQ(chain.client(), &client);
+  EXPECT_EQ(chain.ServiceNode(), 1u);  // Member 0's host.
 }
 
 }  // namespace

@@ -348,8 +348,8 @@ TEST(ParkPolicyTest, IdlePowerOrdering) {
                                  ParkPolicy::kKeepWarm};
   for (int i = 0; i < 3; ++i) {
     ParkHarness h;
-    ClassifierMigrator migrator(h.sim, h.fpga,
-                                ClassifierMigrator::Options::FromPolicy(policies[i]));
+    StateTransferMigrator migrator(
+        h.sim, h.fpga, StateTransferMigrator::Options::FromPolicy(policies[i]));
     watts[i] = h.fpga.PowerWatts();
   }
   EXPECT_LT(watts[0], watts[1]);
@@ -359,8 +359,8 @@ TEST(ParkPolicyTest, IdlePowerOrdering) {
 
 TEST(ParkPolicyTest, KeepWarmPreservesCaches) {
   ParkHarness h;
-  ClassifierMigrator migrator(h.sim, h.fpga,
-                              ClassifierMigrator::Options::FromPolicy(ParkPolicy::kKeepWarm));
+  StateTransferMigrator migrator(
+      h.sim, h.fpga, StateTransferMigrator::Options::FromPolicy(ParkPolicy::kKeepWarm));
   h.lake.WarmFill(0, 50, 64);
   migrator.ShiftToNetwork();
   migrator.ShiftToHost();
@@ -369,8 +369,8 @@ TEST(ParkPolicyTest, KeepWarmPreservesCaches) {
 
 TEST(ParkPolicyTest, GatedParkColdCaches) {
   ParkHarness h;
-  ClassifierMigrator migrator(h.sim, h.fpga,
-                              ClassifierMigrator::Options::FromPolicy(ParkPolicy::kGatedPark));
+  StateTransferMigrator migrator(
+      h.sim, h.fpga, StateTransferMigrator::Options::FromPolicy(ParkPolicy::kGatedPark));
   h.lake.WarmFill(0, 50, 64);
   migrator.ShiftToNetwork();
   migrator.ShiftToHost();  // Reset on park: caches cleared.
@@ -379,9 +379,9 @@ TEST(ParkPolicyTest, GatedParkColdCaches) {
 
 TEST(ParkPolicyTest, ReprogramHaltsTraffic) {
   ParkHarness h;
-  ClassifierMigrator migrator(
+  StateTransferMigrator migrator(
       h.sim, h.fpga,
-      ClassifierMigrator::Options::FromPolicy(ParkPolicy::kReprogram, Milliseconds(40)));
+      StateTransferMigrator::Options::FromPolicy(ParkPolicy::kReprogram, Milliseconds(40)));
   struct Collector : PacketSink {
     void Receive(Packet) override { ++count; }
     std::string SinkName() const override { return "host"; }
@@ -428,7 +428,6 @@ struct EnergyControllerHarness {
   struct FakeLikeMigrator : Migrator {
     void ShiftToNetwork() override { RecordTransition(0, Placement::kNetwork); }
     void ShiftToHost() override { RecordTransition(0, Placement::kHost); }
-    std::string MigratorName() const override { return "fake"; }
   };
 
   Simulation sim;
