@@ -66,6 +66,7 @@ std::vector<uint8_t> SerializeAppState(const AppState& state) {
     PutU32(out, px->next_instance);
     PutU32(out, px->acceptor_id);
     PutU32(out, px->last_voted_instance);
+    PutU32(out, px->trim_watermark);
     PutU32(out, static_cast<uint32_t>(px->slots.size()));
     for (const PaxosAcceptorSlot& slot : px->slots) {
       PutU32(out, slot.instance);

@@ -8,7 +8,7 @@
 //   * KvAppState    — cache/store contents in LRU order (LaKe L1/L2,
 //                     memcached, NetCache register arrays),
 //   * PaxosAppState — ballot, next usable instance, and the acceptor's
-//                     per-instance vote log,
+//                     trim watermark and per-instance vote log above it,
 //   * DnsAppState   — the warm copy of the zone the placement answers from.
 // Snapshots are plain data: any placement of the same app family can
 // restore another's snapshot, which is what lets a single generic
@@ -55,6 +55,7 @@ struct PaxosAppState {
   uint32_t next_instance = 1;          // Leader: next usable sequence number.
   uint32_t acceptor_id = 0;
   uint32_t last_voted_instance = 0;
+  uint32_t trim_watermark = 0;           // Acceptor: log trimmed through here.
   std::vector<PaxosAcceptorSlot> slots;  // Acceptor vote log, by instance.
 };
 

@@ -39,10 +39,21 @@ bool GetU32(const std::vector<uint8_t>& in, size_t* pos, uint32_t* v) {
   return true;
 }
 
-void EncodeName(std::vector<uint8_t>& out, const std::string& name) {
+void RequireValidName(const std::string& name) {
   if (!IsValidDnsName(name)) {
     throw std::invalid_argument("EncodeName: invalid DNS name: " + name);
   }
+}
+
+// Wire bytes of an uncompressed name: one length byte per label in place of
+// each dot, plus the leading length byte and the root label.
+size_t NameWireBytes(const std::string& name) {
+  RequireValidName(name);
+  return name.size() + 2;
+}
+
+void EncodeName(std::vector<uint8_t>& out, const std::string& name) {
+  RequireValidName(name);
   size_t start = 0;
   while (start <= name.size()) {
     size_t dot = name.find('.', start);
@@ -250,8 +261,18 @@ std::optional<DnsMessage> DecodeDnsMessage(const std::vector<uint8_t>& wire) {
 }
 
 uint32_t DnsWireBytes(const DnsMessage& message) {
-  // Encoded DNS payload + Ethernet/IP/UDP headers (14+20+8).
-  return static_cast<uint32_t>(EncodeDnsMessage(message).size()) + 42;
+  // What EncodeDnsMessage would emit, summed without encoding: the 12-byte
+  // header, each question's name + type + class, each answer's name + type
+  // + class + TTL + rdlength + rdata; then Ethernet/IP/UDP headers
+  // (14+20+8).
+  size_t bytes = 12;
+  for (const auto& q : message.questions) {
+    bytes += NameWireBytes(q.name) + 4;
+  }
+  for (const auto& rr : message.answers) {
+    bytes += NameWireBytes(rr.name) + 10 + rr.rdata.size();
+  }
+  return static_cast<uint32_t>(bytes) + 42;
 }
 
 }  // namespace incod

@@ -18,6 +18,8 @@ const char* PaxosMsgTypeName(PaxosMsgType type) {
       return "fill_request";
     case PaxosMsgType::kClientResponse:
       return "client_response";
+    case PaxosMsgType::kTrim:
+      return "trim";
   }
   return "?";
 }

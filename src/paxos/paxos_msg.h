@@ -11,6 +11,10 @@
 //    so a fresh leader can learn the next usable sequence number, and
 //  - learners detect instance gaps and ask the leader to re-initiate them
 //    (delivering a no-op when no value was previously voted).
+// Logs stay bounded by the standard Multi-Paxos trim (as in libpaxos):
+// learners announce their highest contiguous delivered instance (kTrim),
+// acceptors drop every instance at or below the minimum announcement and
+// answer a later phase 1a/2a for such an instance with a `trimmed` 1b.
 #ifndef INCOD_SRC_PAXOS_PAXOS_MSG_H_
 #define INCOD_SRC_PAXOS_PAXOS_MSG_H_
 

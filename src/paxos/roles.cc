@@ -137,6 +137,11 @@ std::vector<PaxosOut> LeaderState::HandleMessage(const PaxosMessage& msg) {
         // vote): the sequence hint above is all we can use.
         return released;
       }
+      if (msg.trimmed) {
+        // Decided and delivered everywhere: nothing to re-propose.
+        recoveries_.erase(it);
+        return released;
+      }
       Recovery& rec = it->second;
       if (rec.phase2_started || msg.round != ballot_) {
         return released;
@@ -195,28 +200,41 @@ AcceptorState::AcceptorState(PaxosGroupConfig config, uint32_t acceptor_id)
   if (config_.learners.empty()) {
     throw std::invalid_argument("AcceptorState: no learners");
   }
+  learner_marks_.assign(config_.learners.size(), 0);
 }
 
 void AcceptorState::SaveTo(PaxosAppState& state) const {
   state.acceptor_id = acceptor_id_;
   state.last_voted_instance = last_voted_instance_;
+  state.trim_watermark = trim_watermark_;
   state.slots.clear();
   state.slots.reserve(slots_.size());
-  for (const auto& [instance, slot] : slots_) {
-    state.slots.push_back(
-        PaxosAcceptorSlot{instance, slot.rnd, slot.vrnd, slot.value, slot.client});
+  const uint32_t end = slots_.base() + static_cast<uint32_t>(slots_.capacity());
+  for (uint32_t instance = slots_.base(); instance != end; ++instance) {
+    if (const Slot* slot = slots_.Find(instance)) {
+      state.slots.push_back(
+          PaxosAcceptorSlot{instance, slot->rnd, slot->vrnd, slot->value, slot->client});
+    }
   }
-  std::sort(state.slots.begin(), state.slots.end(),
-            [](const PaxosAcceptorSlot& a, const PaxosAcceptorSlot& b) {
-              return a.instance < b.instance;
-            });
 }
 
 void AcceptorState::RestoreFrom(const PaxosAppState& state) {
   last_voted_instance_ = state.last_voted_instance;
-  slots_.clear();
+  slots_ = InstanceRing<Slot>();
+  trim_watermark_ = 0;
+  TrimThrough(state.trim_watermark);
+  learner_marks_.assign(config_.learners.size(), trim_watermark_);
   for (const PaxosAcceptorSlot& s : state.slots) {
-    slots_[s.instance] = Slot{s.rnd, s.vrnd, s.value, s.client};
+    if (Slot* slot = slots_.Get(s.instance)) {
+      *slot = Slot{s.rnd, s.vrnd, s.value, s.client};
+    }
+  }
+}
+
+void AcceptorState::TrimThrough(uint32_t watermark) {
+  if (watermark > trim_watermark_) {
+    trim_watermark_ = watermark;
+    slots_.DropBelow(watermark + 1);
   }
 }
 
@@ -234,9 +252,22 @@ PaxosMessage AcceptorState::MakePhase1b(uint32_t instance, const Slot& slot) con
 }
 
 std::vector<PaxosOut> AcceptorState::HandleMessage(const PaxosMessage& msg) {
+  if ((msg.type == PaxosMsgType::kPhase1a || msg.type == PaxosMsgType::kPhase2a) &&
+      trim_watermark_ != 0 && msg.instance <= trim_watermark_) {
+    // The instance is decided and delivered at every learner and its slot is
+    // gone: say so instead of promising or voting on an empty slot.
+    PaxosMessage m;
+    m.type = PaxosMsgType::kPhase1b;
+    m.trimmed = true;
+    m.instance = msg.instance;
+    m.round = msg.round;
+    m.sender_id = acceptor_id_;
+    m.last_voted_instance = last_voted_instance_;
+    return {PaxosOut{config_.leader_service, m}};
+  }
   switch (msg.type) {
     case PaxosMsgType::kPhase1a: {
-      Slot& slot = slots_[msg.instance];
+      Slot& slot = *slots_.Get(msg.instance);
       if (msg.round >= slot.rnd) {
         slot.rnd = msg.round;
       }
@@ -245,7 +276,7 @@ std::vector<PaxosOut> AcceptorState::HandleMessage(const PaxosMessage& msg) {
       return {PaxosOut{config_.leader_service, MakePhase1b(msg.instance, slot)}};
     }
     case PaxosMsgType::kPhase2a: {
-      Slot& slot = slots_[msg.instance];
+      Slot& slot = *slots_.Get(msg.instance);
       if (msg.round < slot.rnd) {
         // NACK to the leader service with our state (sequence hints ride
         // along, §9.2).
@@ -275,11 +306,17 @@ std::vector<PaxosOut> AcceptorState::HandleMessage(const PaxosMessage& msg) {
         out.push_back(PaxosOut{learner, vote});
       }
       if (stale_reuse) {
-        out.push_back(
-            PaxosOut{config_.leader_service, MakePhase1b(msg.instance, slots_[msg.instance])});
+        out.push_back(PaxosOut{config_.leader_service, MakePhase1b(msg.instance, slot)});
       }
       return out;
     }
+    case PaxosMsgType::kTrim:
+      // Trim to the lowest point every learner has delivered through.
+      if (msg.sender_id < learner_marks_.size()) {
+        learner_marks_[msg.sender_id] = std::max(learner_marks_[msg.sender_id], msg.instance);
+        TrimThrough(*std::min_element(learner_marks_.begin(), learner_marks_.end()));
+      }
+      return {};
     default:
       return {};
   }
@@ -287,32 +324,47 @@ std::vector<PaxosOut> AcceptorState::HandleMessage(const PaxosMessage& msg) {
 
 // --------------------------------------------------------------- Learner --
 
-LearnerState::LearnerState(PaxosGroupConfig config) : config_(std::move(config)) {
+LearnerState::LearnerState(PaxosGroupConfig config, uint32_t learner_id)
+    : config_(std::move(config)),
+      learner_id_(learner_id),
+      votes_(config_.acceptors.size()) {
   if (config_.acceptors.empty()) {
     throw std::invalid_argument("LearnerState: no acceptors");
   }
 }
 
-std::vector<PaxosOut> LearnerState::Deliver(uint32_t instance, Slot& slot) {
+std::vector<PaxosOut> LearnerState::Deliver(const PaxosMessage& vote, Slot& slot) {
   slot.delivered = true;
   ++delivered_count_;
+  const uint32_t before = highest_contiguous_;
   while (true) {
-    auto next = slots_.find(highest_contiguous_ + 1);
-    if (next == slots_.end() || !next->second.delivered) {
+    const Slot* next = slots_.Find(highest_contiguous_ + 1);
+    if (next == nullptr || !next->delivered) {
       break;
     }
     ++highest_contiguous_;
   }
+  slots_.DropBelow(highest_contiguous_ + 1);
+  votes_.DropBelow(highest_contiguous_ + 1);
   std::vector<PaxosOut> out;
-  if (slot.value == kPaxosNoop) {
+  if (vote.value == kPaxosNoop) {
     ++noop_count_;
-  } else if (slot.client != 0) {
+  } else if (vote.client != 0) {
     PaxosMessage resp;
     resp.type = PaxosMsgType::kClientResponse;
-    resp.instance = instance;
-    resp.value = slot.value;
-    resp.client = slot.client;
-    out.push_back(PaxosOut{slot.client, resp});
+    resp.instance = vote.instance;
+    resp.value = vote.value;
+    resp.client = vote.client;
+    out.push_back(PaxosOut{vote.client, resp});
+  }
+  if (highest_contiguous_ / kPaxosTrimStride != before / kPaxosTrimStride) {
+    PaxosMessage trim;
+    trim.type = PaxosMsgType::kTrim;
+    trim.instance = highest_contiguous_;
+    trim.sender_id = learner_id_;
+    for (NodeId acceptor : config_.acceptors) {
+      out.push_back(PaxosOut{acceptor, trim});
+    }
   }
   return out;
 }
@@ -323,22 +375,34 @@ std::vector<PaxosOut> LearnerState::HandleMessage(const PaxosMessage& msg, SimTi
     return {};
   }
   highest_seen_ = std::max(highest_seen_, msg.instance);
-  Slot& slot = slots_[msg.instance];
+  if (msg.instance <= highest_contiguous_) {
+    return {};  // Delivered.
+  }
+  Slot& slot = *slots_.Get(msg.instance);
   if (slot.delivered) {
     return {};
   }
-  slot.votes[msg.sender_id] = {msg.round, msg.value};
-  // Count matching votes at this round/value.
+  // Record the sender's vote over its previous one (votes fill a prefix of
+  // the instance's records, one per acceptor), then count the votes
+  // matching this round and value.
+  Vote* votes = votes_.Get(msg.instance);
+  const size_t n = config_.acceptors.size();
+  size_t k = 0;
+  while (k < n && votes[k].present && votes[k].acceptor != msg.sender_id) {
+    ++k;
+  }
+  if (k == n) {
+    return {};  // More voters than the group has acceptors.
+  }
+  votes[k] = Vote{true, msg.sender_id, msg.round, msg.value};
   size_t matching = 0;
-  for (const auto& [acceptor, vote] : slot.votes) {
-    if (vote.first == msg.round && vote.second == msg.value) {
+  for (k = 0; k < n; ++k) {
+    if (votes[k].present && votes[k].round == msg.round && votes[k].value == msg.value) {
       ++matching;
     }
   }
   if (matching >= config_.QuorumSize()) {
-    slot.value = msg.value;
-    slot.client = msg.client;
-    return Deliver(msg.instance, slot);
+    return Deliver(msg, slot);
   }
   return {};
 }
@@ -349,7 +413,7 @@ std::vector<PaxosOut> LearnerState::CheckGaps(SimTime now, SimDuration gap_timeo
     return out;
   }
   for (uint32_t inst = highest_contiguous_ + 1; inst <= highest_seen_; ++inst) {
-    Slot& slot = slots_[inst];  // Creates an empty slot for true gaps.
+    Slot& slot = *slots_.Get(inst);  // Creates an empty slot for true gaps.
     if (slot.delivered) {
       continue;
     }

@@ -11,14 +11,19 @@
 #include <cstdint>
 #include <map>
 #include <set>
-#include <unordered_map>
 #include <vector>
 
 #include "src/app/app_state.h"
+#include "src/paxos/instance_ring.h"
 #include "src/paxos/paxos_msg.h"
 #include "src/sim/time.h"
 
 namespace incod {
+
+// A learner announces its highest contiguous delivered instance (kTrim)
+// each time that crosses a multiple of this stride, so an acceptor's log
+// holds at most about one stride plus the instances in flight.
+constexpr uint32_t kPaxosTrimStride = 4096;
 
 // ---------------------------------------------------------------- Leader --
 // Coordinator: assigns instance numbers to client values and runs phase 2.
@@ -95,9 +100,14 @@ class AcceptorState {
 
   uint32_t last_voted_instance() const { return last_voted_instance_; }
   uint32_t acceptor_id() const { return acceptor_id_; }
+  // Every instance at or below this is trimmed: the minimum over all
+  // learners' kTrim announcements (0 until each learner has announced).
+  uint32_t trim_watermark() const { return trim_watermark_; }
   size_t stored_instances() const { return slots_.size(); }
+  size_t ring_capacity() const { return slots_.capacity(); }
 
-  // App state contract: the per-instance vote log, sorted by instance.
+  // App state contract: the trim watermark and the per-instance vote log
+  // above it, sorted by instance.
   void SaveTo(PaxosAppState& state) const;
   void RestoreFrom(const PaxosAppState& state);
 
@@ -110,17 +120,22 @@ class AcceptorState {
   };
 
   PaxosMessage MakePhase1b(uint32_t instance, const Slot& slot) const;
+  void TrimThrough(uint32_t watermark);
 
   PaxosGroupConfig config_;
   uint32_t acceptor_id_;
   uint32_t last_voted_instance_ = 0;
-  std::unordered_map<uint32_t, Slot> slots_;
+  uint32_t trim_watermark_ = 0;
+  std::vector<uint32_t> learner_marks_;  // Per learner index; 0: not announced.
+  InstanceRing<Slot> slots_;             // Instances above the watermark.
 };
 
 // --------------------------------------------------------------- Learner --
 class LearnerState {
  public:
-  explicit LearnerState(PaxosGroupConfig config);
+  // `learner_id`: this learner's index in `config.learners`, which names it
+  // in its kTrim announcements.
+  explicit LearnerState(PaxosGroupConfig config, uint32_t learner_id = 0);
 
   std::vector<PaxosOut> HandleMessage(const PaxosMessage& msg, SimTime now);
 
@@ -133,21 +148,32 @@ class LearnerState {
   uint32_t highest_contiguous() const { return highest_contiguous_; }
   uint32_t highest_seen() const { return highest_seen_; }
   uint64_t fill_requests_sent() const { return fill_requests_; }
+  // Instances above highest_contiguous() holding state (votes, an
+  // out-of-order delivery or a fill-request time), and the ring they live in.
+  size_t stored_instances() const { return slots_.size(); }
+  size_t ring_capacity() const { return slots_.capacity(); }
 
  private:
   struct Slot {
-    // Votes per acceptor for the current highest round observed.
-    std::map<uint32_t, std::pair<uint16_t, PaxosValue>> votes;
     bool delivered = false;
-    PaxosValue value = kPaxosNoop;
-    NodeId client = 0;
     SimTime last_fill_request = 0;
   };
+  // One acceptor's latest vote on an instance.
+  struct Vote {
+    bool present = false;
+    uint32_t acceptor = 0;
+    uint16_t round = 0;
+    PaxosValue value = kPaxosNoop;
+  };
 
-  std::vector<PaxosOut> Deliver(uint32_t instance, Slot& slot);
+  std::vector<PaxosOut> Deliver(const PaxosMessage& vote, Slot& slot);
 
   PaxosGroupConfig config_;
-  std::map<uint32_t, Slot> slots_;
+  uint32_t learner_id_;
+  // Both rings hold only instances above highest_contiguous_; each
+  // instance holds one Vote per acceptor of the group.
+  InstanceRing<Slot> slots_;
+  InstanceRing<Vote> votes_;
   uint32_t highest_contiguous_ = 0;
   uint32_t highest_seen_ = 0;
   uint64_t delivered_count_ = 0;

@@ -4,14 +4,17 @@
 #include <memory>
 
 #include "src/device/fpga_nic.h"
+#include "src/device/switch_asic.h"
 #include "src/dns/dns_message.h"
 #include "src/dns/emu_dns.h"
 #include "src/dns/nsd_server.h"
+#include "src/dns/switch_dns.h"
 #include "src/dns/zone.h"
 #include "src/host/server.h"
 #include "src/net/topology.h"
 #include "src/sim/random.h"
 #include "src/sim/simulation.h"
+#include "src/workload/dns_workload.h"
 
 namespace incod {
 namespace {
@@ -337,6 +340,72 @@ TEST(EmuDnsTest, PowerModulesTotalOnePointFive) {
 
 TEST(EmuDnsTest, RejectsNullZone) {
   EXPECT_THROW(EmuDns(nullptr), std::invalid_argument);
+}
+
+// DnsWireBytes sums the encoding instead of building it. It must agree with
+// the encoder (+42 header bytes) on every query the DNS workload generates
+// and on every response NSD, Emu DNS and switch DNS send back, and it must
+// reject the names the encoder rejects.
+TEST(DnsWireTest, WireBytesMatchEncodedSize) {
+  auto encoded_bytes = [](const DnsMessage& m) {
+    return static_cast<uint32_t>(EncodeDnsMessage(m).size()) + 42;
+  };
+  EmuHarness emu;  // Zone of 16 synthetic names.
+  SwitchAsic sw(emu.sim, SwitchAsicConfig{});
+  DnsSwitchConfig switch_config;
+  switch_config.dns_service = 1;
+  DnsSwitchProgram program(&emu.zone, switch_config);
+  EmuHarness::Collector switch_client;
+  EmuHarness::Collector switch_host;
+  emu.topo.ConnectToSwitch(&sw, &switch_client, 100);
+  emu.topo.ConnectToSwitch(&sw, &switch_host, 1);
+  sw.LoadProgram(&program);
+
+  DnsWorkloadConfig config;
+  config.dns_service = 1;
+  config.zone_size = 16;
+  config.miss_fraction = 0.25;
+  RequestFactory make_query = MakeDnsRequestFactory(config);
+  Rng rng(5);
+  std::vector<DnsMessage> nsd_responses;
+  for (uint64_t id = 1; id <= 400; ++id) {
+    const Packet query = make_query(100, id, 0, rng);
+    const DnsMessage& q = PayloadAs<DnsMessage>(query);
+    EXPECT_EQ(query.size_bytes, encoded_bytes(q));
+    nsd_responses.push_back(NsdServer::Resolve(emu.zone, q));
+    emu.sim.Schedule(static_cast<SimDuration>(id) * Microseconds(2), [&emu, &sw, query] {
+      emu.fpga->Receive(query);
+      sw.Receive(query);
+    });
+  }
+  // NSD's other answers: NOTIMP for AAAA, FORMERR without a question.
+  DnsMessage aaaa;
+  aaaa.questions.push_back(DnsQuestion{Zone::SyntheticName(1), kDnsTypeAaaa, kDnsClassIn});
+  nsd_responses.push_back(NsdServer::Resolve(emu.zone, aaaa));
+  nsd_responses.push_back(NsdServer::Resolve(emu.zone, DnsMessage{}));
+  emu.sim.Run();
+
+  size_t nxdomain = 0;
+  for (const DnsMessage& resp : nsd_responses) {
+    EXPECT_EQ(DnsWireBytes(resp), encoded_bytes(resp));
+    nxdomain += resp.rcode == DnsRcode::kNxDomain ? 1 : 0;
+  }
+  EXPECT_GT(nxdomain, 0u);
+  ASSERT_EQ(emu.client_side.packets.size(), 400u);
+  ASSERT_EQ(switch_client.packets.size(), 400u);
+  for (const auto* responses : {&emu.client_side.packets, &switch_client.packets}) {
+    for (const Packet& pkt : *responses) {
+      EXPECT_EQ(pkt.size_bytes, encoded_bytes(PayloadAs<DnsMessage>(pkt)));
+    }
+  }
+
+  DnsMessage bad;
+  bad.questions.push_back(DnsQuestion{"bad..name", kDnsTypeA, kDnsClassIn});
+  EXPECT_THROW(DnsWireBytes(bad), std::invalid_argument);
+  DnsMessage bad_answer = NsdServer::Resolve(emu.zone, aaaa);
+  bad_answer.answers.push_back(DnsResourceRecord{std::string(64, 'a'), kDnsTypeA,
+                                                 kDnsClassIn, 300, Ipv4ToRdata(1)});
+  EXPECT_THROW(DnsWireBytes(bad_answer), std::invalid_argument);
 }
 
 }  // namespace

@@ -2,10 +2,12 @@
 // migration extensions, and a randomized safety property.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <optional>
 #include <set>
 
+#include "src/app/app_state.h"
 #include "src/paxos/paxos_msg.h"
 #include "src/paxos/roles.h"
 #include "src/sim/random.h"
@@ -26,6 +28,36 @@ PaxosMessage ClientRequest(PaxosValue value, NodeId client = 100) {
   msg.type = PaxosMsgType::kClientRequest;
   msg.value = value;
   msg.client = client;
+  return msg;
+}
+
+PaxosMessage Accept(uint32_t instance, uint16_t round = 1) {
+  PaxosMessage msg;
+  msg.type = PaxosMsgType::kPhase2a;
+  msg.instance = instance;
+  msg.round = round;
+  msg.value = 1000 + instance;
+  msg.client = 100;
+  return msg;
+}
+
+PaxosMessage Trim(uint32_t watermark, uint32_t learner_id = 0) {
+  PaxosMessage msg;
+  msg.type = PaxosMsgType::kTrim;
+  msg.instance = watermark;
+  msg.sender_id = learner_id;
+  return msg;
+}
+
+PaxosMessage TrimmedPromise(uint32_t instance, uint16_t round, uint32_t sender,
+                            uint32_t last_voted) {
+  PaxosMessage msg;
+  msg.type = PaxosMsgType::kPhase1b;
+  msg.trimmed = true;
+  msg.instance = instance;
+  msg.round = round;
+  msg.sender_id = sender;
+  msg.last_voted_instance = last_voted;
   return msg;
 }
 
@@ -239,6 +271,155 @@ TEST(AcceptorTest, RejectsGroupWithoutLearners) {
   EXPECT_THROW(AcceptorState(group, 0), std::invalid_argument);
 }
 
+TEST(AcceptorTest, TrimmedInstanceGetsExplicitReply) {
+  AcceptorState acceptor(ThreeAcceptorGroup(), 2);
+  for (uint32_t i = 1; i <= 10; ++i) {
+    acceptor.HandleMessage(Accept(i));
+  }
+  EXPECT_TRUE(acceptor.HandleMessage(Trim(6)).empty());
+  EXPECT_EQ(acceptor.trim_watermark(), 6u);
+  EXPECT_EQ(acceptor.stored_instances(), 4u);  // 7..10.
+
+  // Phase 1a at and below the watermark: a trimmed 1b, never a promise on
+  // an empty slot.
+  for (uint32_t instance : {5u, 6u}) {
+    PaxosMessage p1a;
+    p1a.type = PaxosMsgType::kPhase1a;
+    p1a.instance = instance;
+    p1a.round = 2;
+    const auto out = acceptor.HandleMessage(p1a);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].dst, 200u);
+    EXPECT_EQ(out[0].msg.type, PaxosMsgType::kPhase1b);
+    EXPECT_TRUE(out[0].msg.trimmed);
+    EXPECT_EQ(out[0].msg.instance, instance);
+    EXPECT_EQ(out[0].msg.round, 2);
+    EXPECT_EQ(out[0].msg.vround, 0);
+    EXPECT_EQ(out[0].msg.value, kPaxosNoop);
+    EXPECT_EQ(out[0].msg.sender_id, 2u);
+    EXPECT_EQ(out[0].msg.last_voted_instance, 10u);
+  }
+  // Phase 2a below the watermark: the same answer, and no fresh vote.
+  const auto out = acceptor.HandleMessage(Accept(3, 5));
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].msg.type, PaxosMsgType::kPhase1b);
+  EXPECT_TRUE(out[0].msg.trimmed);
+  EXPECT_EQ(out[0].msg.last_voted_instance, 10u);
+  EXPECT_EQ(acceptor.stored_instances(), 4u);
+  // Above the watermark the log still answers normally.
+  PaxosMessage p1a;
+  p1a.type = PaxosMsgType::kPhase1a;
+  p1a.instance = 7;
+  p1a.round = 2;
+  const auto promise = acceptor.HandleMessage(p1a);
+  ASSERT_EQ(promise.size(), 1u);
+  EXPECT_FALSE(promise[0].msg.trimmed);
+  EXPECT_EQ(promise[0].msg.vround, 1);
+  EXPECT_EQ(promise[0].msg.value, 1007u);
+}
+
+TEST(AcceptorTest, TrimsOnlyToMinimumLearnerWatermark) {
+  PaxosGroupConfig group = ThreeAcceptorGroup();
+  group.learners = {30, 31};
+  AcceptorState acceptor(group, 0);
+  for (uint32_t i = 1; i <= 20; ++i) {
+    acceptor.HandleMessage(Accept(i));
+  }
+  // Learner 1 has not announced yet: nothing is trimmed.
+  acceptor.HandleMessage(Trim(10, 0));
+  EXPECT_EQ(acceptor.trim_watermark(), 0u);
+  EXPECT_EQ(acceptor.stored_instances(), 20u);
+  acceptor.HandleMessage(Trim(5, 1));
+  EXPECT_EQ(acceptor.trim_watermark(), 5u);
+  EXPECT_EQ(acceptor.stored_instances(), 15u);
+  // Learner 1 overtakes learner 0: the minimum is now learner 0's 10.
+  acceptor.HandleMessage(Trim(15, 1));
+  EXPECT_EQ(acceptor.trim_watermark(), 10u);
+  EXPECT_EQ(acceptor.stored_instances(), 10u);
+  // A stale (reordered) announcement and an unknown learner change nothing.
+  acceptor.HandleMessage(Trim(3, 0));
+  acceptor.HandleMessage(Trim(19, 7));
+  EXPECT_EQ(acceptor.trim_watermark(), 10u);
+  EXPECT_EQ(acceptor.stored_instances(), 10u);
+}
+
+TEST(LeaderTest, TrimmedRecoveryIsNotReproposedButTeachesSequence) {
+  LeaderState leader(ThreeAcceptorGroup(), 3);
+  PaxosMessage fill;
+  fill.type = PaxosMsgType::kFillRequest;
+  fill.instance = 4;
+  leader.HandleMessage(fill);
+  const uint64_t jumps = leader.sequence_jumps();
+  for (uint32_t sender = 0; sender < 3; ++sender) {
+    for (const auto& out : leader.HandleMessage(TrimmedPromise(4, 3, sender, 50))) {
+      EXPECT_NE(out.msg.type, PaxosMsgType::kPhase2a);
+    }
+  }
+  EXPECT_EQ(leader.next_instance(), 51u);
+  EXPECT_GT(leader.sequence_jumps(), jumps);
+  // The recovery is closed: a late ordinary promise does not re-open it.
+  PaxosMessage late;
+  late.type = PaxosMsgType::kPhase1b;
+  late.instance = 4;
+  late.round = 3;
+  late.sender_id = 1;
+  late.vround = 1;
+  late.value = 9;
+  EXPECT_TRUE(leader.HandleMessage(late).empty());
+}
+
+TEST(LeaderTest, TrimmedSequenceProbeJumpsWithoutReproposing) {
+  LeaderState leader(ThreeAcceptorGroup(), 1);
+  leader.HandleMessage(ClientRequest(1));
+  leader.Reset(2);
+  leader.StartSequenceLearning();  // Probes instance 1, long trimmed.
+  EXPECT_TRUE(leader.HandleMessage(ClientRequest(55)).empty());
+  EXPECT_TRUE(leader.HandleMessage(TrimmedPromise(1, 2, 0, 9000)).empty());
+  const auto out = leader.HandleMessage(TrimmedPromise(1, 2, 1, 8999));
+  EXPECT_FALSE(leader.awaiting_sequence());
+  size_t proposals = 0;
+  for (const auto& m : out) {
+    ASSERT_EQ(m.msg.type, PaxosMsgType::kPhase2a);
+    EXPECT_EQ(m.msg.instance, 9001u);  // Never instance 1.
+    EXPECT_EQ(m.msg.value, 55u);
+    ++proposals;
+  }
+  EXPECT_EQ(proposals, 3u);
+  EXPECT_EQ(leader.next_instance(), 9002u);
+  // The third acceptor's trimmed answer proposes nothing more.
+  EXPECT_TRUE(leader.HandleMessage(TrimmedPromise(1, 2, 2, 9000)).empty());
+}
+
+TEST(PaxosAppStateTest, TrimWatermarkRoundTripsBitIdentically) {
+  AcceptorState source(ThreeAcceptorGroup(), 1);
+  for (uint32_t i = 1; i <= 30; ++i) {
+    source.HandleMessage(Accept(i));
+  }
+  source.HandleMessage(Trim(12));
+  PaxosAppState px;
+  source.SaveTo(px);
+  EXPECT_EQ(px.trim_watermark, 12u);
+  ASSERT_EQ(px.slots.size(), 18u);  // The checkpoint holds the window only.
+  EXPECT_EQ(px.slots.front().instance, 13u);
+  EXPECT_EQ(px.slots.back().instance, 30u);
+
+  AcceptorState restored(ThreeAcceptorGroup(), 1);
+  restored.RestoreFrom(px);
+  PaxosAppState again;
+  restored.SaveTo(again);
+  EXPECT_EQ(SerializeAppState(AppState{AppProto::kPaxos, "acceptor", px}),
+            SerializeAppState(AppState{AppProto::kPaxos, "acceptor", again}));
+  EXPECT_EQ(restored.trim_watermark(), 12u);
+  EXPECT_EQ(restored.stored_instances(), 18u);
+  EXPECT_TRUE(restored.HandleMessage(Accept(12, 2))[0].msg.trimmed);
+  EXPECT_EQ(restored.HandleMessage(Accept(13, 2))[0].msg.type, PaxosMsgType::kPhase2b);
+  // The watermark is part of the encoding.
+  PaxosAppState untrimmed = px;
+  untrimmed.trim_watermark = 0;
+  EXPECT_NE(SerializeAppState(AppState{AppProto::kPaxos, "acceptor", px}),
+            SerializeAppState(AppState{AppProto::kPaxos, "acceptor", untrimmed}));
+}
+
 TEST(LearnerTest, DeliversOnQuorum) {
   LearnerState learner(ThreeAcceptorGroup());
   PaxosMessage vote;
@@ -344,22 +525,84 @@ TEST(LearnerTest, ContiguityAdvancesThroughBackfill) {
   EXPECT_EQ(learner.highest_contiguous(), 3u);
 }
 
+TEST(LearnerTest, RingStaysBoundedOverLongInOrderRun) {
+  LearnerState learner(ThreeAcceptorGroup());
+  const uint32_t n = 100000;
+  std::vector<uint32_t> trims;
+  PaxosMessage vote;
+  vote.type = PaxosMsgType::kPhase2b;
+  vote.round = 1;
+  for (uint32_t i = 1; i <= n; ++i) {
+    vote.instance = i;
+    vote.value = i;
+    for (uint32_t sender = 0; sender < 2; ++sender) {
+      vote.sender_id = sender;
+      for (const auto& out : learner.HandleMessage(vote, 0)) {
+        if (out.msg.type == PaxosMsgType::kTrim) {
+          EXPECT_EQ(out.msg.sender_id, 0u);
+          trims.push_back(out.msg.instance);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(learner.highest_contiguous(), n);
+  EXPECT_EQ(learner.delivered_count(), n);
+  EXPECT_EQ(learner.stored_instances(), 0u);
+  EXPECT_LE(learner.ring_capacity(), 16u);
+  // One announcement to each of the 3 acceptors per stride crossed.
+  ASSERT_EQ(trims.size(), 3u * (n / kPaxosTrimStride));
+  for (size_t k = 0; k < trims.size(); ++k) {
+    EXPECT_EQ(trims[k], kPaxosTrimStride * static_cast<uint32_t>(k / 3 + 1));
+  }
+}
+
+TEST(LearnerTest, OutOfOrderDeliveriesWaitInTheRing) {
+  LearnerState learner(ThreeAcceptorGroup());
+  auto deliver = [&](uint32_t instance) {
+    PaxosMessage vote;
+    vote.type = PaxosMsgType::kPhase2b;
+    vote.instance = instance;
+    vote.round = 1;
+    vote.value = instance;
+    for (uint32_t sender = 0; sender < 2; ++sender) {
+      vote.sender_id = sender;
+      learner.HandleMessage(vote, 0);
+    }
+  };
+  for (uint32_t i = 2; i <= 100; ++i) {
+    deliver(i);  // Instance 1 is missing: everything waits above the gap.
+  }
+  EXPECT_EQ(learner.highest_contiguous(), 0u);
+  EXPECT_EQ(learner.stored_instances(), 99u);
+  deliver(1);
+  EXPECT_EQ(learner.highest_contiguous(), 100u);
+  EXPECT_EQ(learner.stored_instances(), 0u);
+  EXPECT_EQ(learner.delivered_count(), 100u);
+}
+
 // Randomized safety property across a leader migration: under message
 // loss, duplication and reordering, no instance ever delivers two
 // different non-noop values across two learners. The migration follows the
 // deployed protocol: the old leader is quiesced, the service re-pointed,
 // and the new leader runs the sequence-learning probe before proposing.
-class PaxosSafetyTest : public ::testing::TestWithParam<uint64_t> {};
+// At random steps both learners' trim announcements are injected, carrying
+// the true minimum of their contiguous delivery points, so acceptors trim
+// under the same chaos and answer trimmed instances explicitly.
+struct SafetyRun {
+  size_t decided = 0;            // Instances delivered, summed over learners.
+  uint64_t trimmed_replies = 0;  // Trimmed phase 1b answers sent.
+};
 
-TEST_P(PaxosSafetyTest, NoConflictingDeliveries) {
-  Rng rng(GetParam());
+SafetyRun RunSafetyScenario(uint64_t seed) {
+  Rng rng(seed);
   PaxosGroupConfig group = ThreeAcceptorGroup();
   group.learners = {30, 31};
   LeaderState leader_a(group, 1);
   LeaderState leader_b(group, 2);  // The migrated-to leader.
   AcceptorState acceptors[3] = {{group, 0}, {group, 1}, {group, 2}};
-  LearnerState learners[2] = {LearnerState(group), LearnerState(group)};
+  LearnerState learners[2] = {LearnerState(group, 0), LearnerState(group, 1)};
   std::map<uint32_t, PaxosValue> decided[2];
+  SafetyRun run;
 
   std::vector<PaxosOut> wire;
   auto push = [&](std::vector<PaxosOut> msgs) {
@@ -367,8 +610,27 @@ TEST_P(PaxosSafetyTest, NoConflictingDeliveries) {
       wire.push_back(std::move(m));
     }
   };
+  auto to_acceptor = [&](const PaxosOut& msg) {
+    auto out = acceptors[msg.dst - 10].HandleMessage(msg.msg);
+    for (const auto& m : out) {
+      run.trimmed_replies += m.msg.trimmed ? 1 : 0;
+    }
+    push(std::move(out));
+  };
+  auto inject_trims = [&]() {
+    const uint32_t safe =
+        std::min(learners[0].highest_contiguous(), learners[1].highest_contiguous());
+    for (uint32_t learner = 0; learner < 2; ++learner) {
+      for (NodeId acceptor : group.acceptors) {
+        wire.push_back(PaxosOut{acceptor, Trim(safe, learner)});
+      }
+    }
+  };
   bool migrated = false;  // Routes leader_service traffic (switch rule).
   auto deliver_step = [&]() {
+    if (rng.Bernoulli(0.05)) {
+      inject_trims();
+    }
     const size_t pick = static_cast<size_t>(
         rng.UniformInt(0, static_cast<int64_t>(wire.size()) - 1));
     PaxosOut msg = wire[pick];
@@ -382,7 +644,7 @@ TEST_P(PaxosSafetyTest, NoConflictingDeliveries) {
     if (msg.dst == group.leader_service) {
       push((migrated ? leader_b : leader_a).HandleMessage(msg.msg));
     } else if (msg.dst >= 10 && msg.dst <= 12) {
-      push(acceptors[msg.dst - 10].HandleMessage(msg.msg));
+      to_acceptor(msg);
     } else if (msg.dst == 30 || msg.dst == 31) {
       const int li = msg.dst == 30 ? 0 : 1;
       if (msg.msg.type == PaxosMsgType::kPhase2b) {
@@ -418,7 +680,7 @@ TEST_P(PaxosSafetyTest, NoConflictingDeliveries) {
   in_flight.swap(wire);
   for (auto& msg : in_flight) {
     if (msg.dst >= 10 && msg.dst <= 12 && !rng.Bernoulli(0.2)) {
-      push(acceptors[msg.dst - 10].HandleMessage(msg.msg));
+      to_acceptor(msg);
     } else {
       residue.push_back(msg);
     }
@@ -437,8 +699,6 @@ TEST_P(PaxosSafetyTest, NoConflictingDeliveries) {
     deliver_step();
   }
 
-  // Someone made progress in both epochs (loss rates permitting).
-  EXPECT_GT(decided[0].size() + decided[1].size(), 0u);
   // Cross-learner agreement on instances both decided.
   for (const auto& [inst, value] : decided[0]) {
     auto it = decided[1].find(inst);
@@ -446,10 +706,27 @@ TEST_P(PaxosSafetyTest, NoConflictingDeliveries) {
       EXPECT_EQ(value, it->second) << "instance " << inst;
     }
   }
+  run.decided = decided[0].size() + decided[1].size();
+  return run;
+}
+
+class PaxosSafetyTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(PaxosSafetyTest, NoConflictingDeliveries) {
+  // Someone made progress in both epochs (loss rates permitting).
+  EXPECT_GT(RunSafetyScenario(GetParam()).decided, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PaxosSafetyTest,
                          ::testing::Values(1u, 7u, 42u, 1234u, 99999u));
+
+TEST(PaxosSafetyTrimTest, SomeSeedDrivesTrimmedReply) {
+  uint64_t trimmed = 0;
+  for (uint64_t seed : {1u, 7u, 42u, 1234u, 99999u}) {
+    trimmed += RunSafetyScenario(seed).trimmed_replies;
+  }
+  EXPECT_GT(trimmed, 0u);
+}
 
 TEST(LeaderTest, SequenceProbeGatesProposals) {
   LeaderState leader(ThreeAcceptorGroup(), 1);
