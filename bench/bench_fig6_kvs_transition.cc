@@ -249,11 +249,10 @@ int RunTimeline() {
                                    std::make_unique<PoissonArrival>(16000.0),
                                    etc.MakeFactory());
 
-  // Fig 6 ran without clock gating / memory reset enabled.
-  StateTransferMigrator::Options migrate_options;
-  migrate_options.clock_gate_when_idle = false;
-  migrate_options.reset_memories_when_idle = false;
-  StateTransferMigrator migrator(sim, *testbed.fpga(), migrate_options);
+  // Fig 6 ran without clock gating / memory reset: the keep-warm park.
+  StateTransferMigrator migrator(
+      sim, *testbed.fpga(),
+      StateTransferMigrator::Options::FromPolicy(ParkPolicy::kKeepWarm));
 
   RaplCounter rapl(sim, [&] { return testbed.server()->RaplPackageWatts(); });
   rapl.Start();

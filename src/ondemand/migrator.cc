@@ -24,20 +24,8 @@ StateTransferMigrator::Options StateTransferMigrator::Options::FromPolicy(
     ParkPolicy policy, SimDuration reprogram_halt) {
   Options options;
   options.policy = policy;
-  switch (policy) {
-    case ParkPolicy::kGatedPark:
-      options.clock_gate_when_idle = true;
-      options.reset_memories_when_idle = true;
-      break;
-    case ParkPolicy::kKeepWarm:
-      options.clock_gate_when_idle = false;
-      options.reset_memories_when_idle = false;
-      break;
-    case ParkPolicy::kReprogram:
-      options.clock_gate_when_idle = true;
-      options.reset_memories_when_idle = true;
-      options.reprogram_halt = reprogram_halt;
-      break;
+  if (policy == ParkPolicy::kReprogram) {
+    options.reprogram_halt = reprogram_halt;
   }
   return options;
 }
@@ -56,8 +44,9 @@ StateTransferMigrator::StateTransferMigrator(Simulation& sim, OffloadTarget& tar
 }
 
 void StateTransferMigrator::ApplyParkedState() {
-  target_.SetClockGating(options_.clock_gate_when_idle);
-  target_.SetMemoryReset(options_.reset_memories_when_idle);
+  const bool park = options_.policy != ParkPolicy::kKeepWarm;
+  target_.SetClockGating(park);
+  target_.SetMemoryReset(park);
   if (options_.policy == ParkPolicy::kReprogram) {
     target_.PowerGateParkedApp();
   }
@@ -166,14 +155,9 @@ PaxosLeaderMigrator::PaxosLeaderMigrator(Simulation& sim, L2Switch& sw,
                                          Options options)
     : StateTransferMigrator(
           sim, hardware_target,
-          [&options] {
-            // The FPGA leader keeps on-chip state only: no park knobs to
-            // apply while the host serves (kKeepWarm semantics).
-            StateTransferMigrator::Options base =
-                StateTransferMigrator::Options::FromPolicy(ParkPolicy::kKeepWarm);
-            base.transfer_state = options.transfer_state;
-            return base;
-          }(),
+          // The FPGA leader keeps on-chip state only: no park knobs to apply
+          // while the host serves (kKeepWarm semantics).
+          StateTransferMigrator::Options::FromPolicy(ParkPolicy::kKeepWarm),
           &software_leader, &hardware_leader),
       switch_(sw),
       leader_service_(leader_service),
@@ -210,7 +194,7 @@ void PaxosLeaderMigrator::ShiftToNetwork() {
   if (placement() == Placement::kNetwork) {
     return;
   }
-  if (!leader_options_.transfer_state) {
+  if (!transfer_state()) {
     ++ballot_;
     // The new leader "starts with an initial sequence number of 1 and must
     // learn the next sequence number that it can use" (§9.2).
@@ -221,7 +205,7 @@ void PaxosLeaderMigrator::ShiftToNetwork() {
   StateTransferMigrator::ShiftToNetwork();
   software_leader_.SetActive(false);
   RepointService(hardware_port_);
-  if (!leader_options_.transfer_state) {
+  if (!transfer_state()) {
     // §9.2: the incoming leader learns the latest instance from the
     // acceptors before proposing (client requests are buffered meanwhile).
     hardware_leader_.BeginSequenceLearning(leader_options_.active_probe);
@@ -271,14 +255,14 @@ void PaxosLeaderMigrator::ShiftToHost() {
   if (placement() == Placement::kHost) {
     return;
   }
-  if (!leader_options_.transfer_state) {
+  if (!transfer_state()) {
     ++ballot_;
     software_leader_.state().Reset(ballot_);
   }
   StateTransferMigrator::ShiftToHost();
   software_leader_.SetActive(true);
   RepointService(software_port_);
-  if (!leader_options_.transfer_state) {
+  if (!transfer_state()) {
     software_leader_.BeginSequenceLearning(leader_options_.active_probe);
     ArmLearningTimeout(Placement::kHost);
   }

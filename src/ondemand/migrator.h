@@ -80,10 +80,10 @@ const char* ParkPolicyName(ParkPolicy policy);
 class StateTransferMigrator : public Migrator {
  public:
   struct Options {
-    bool clock_gate_when_idle = true;
-    bool reset_memories_when_idle = true;
     // Reconfiguration halt; only used by FromPolicy(kReprogram).
     SimDuration reprogram_halt = 0;
+    // While parked, every policy but kKeepWarm clock-gates the target and
+    // holds its memories in reset.
     ParkPolicy policy = ParkPolicy::kGatedPark;
     // Move the outgoing placement's AppState into the incoming one on every
     // shift. Off by default (the paper's shifts re-warm caches, §9.2); on,
@@ -125,7 +125,7 @@ class StateTransferMigrator : public Migrator {
   // Warm/cold knob for subsequent shifts: on, every shift carries the typed
   // AppState snapshot; off, the paper's classifier-flip (caches re-warm).
   // The rack orchestrator applies each app's per-app policy through this.
-  virtual void SetTransferState(bool enabled) { options_.transfer_state = enabled; }
+  void SetTransferState(bool enabled) { options_.transfer_state = enabled; }
   bool transfer_state() const { return options_.transfer_state; }
   OffloadTarget& target() { return target_; }
   const OffloadTarget& target() const { return target_; }
@@ -174,9 +174,6 @@ class PaxosLeaderMigrator : public StateTransferMigrator {
     // true: an active phase-1 probe learns the sequence in one round trip.
     bool active_probe = false;
     SimDuration learning_timeout = Milliseconds(100);
-    // Carry ballot + sequence through the generic state-transfer path
-    // instead of re-learning (no service gap).
-    bool transfer_state = false;
   };
 
   PaxosLeaderMigrator(Simulation& sim, L2Switch& sw, NodeId leader_service,
@@ -196,13 +193,6 @@ class PaxosLeaderMigrator : public StateTransferMigrator {
   // carry — the software leader Reset()s to a fresh higher ballot and
   // re-learns (or a checkpoint restore follows and supersedes the learning).
   void AbandonToHost() override;
-
-  // Keeps the leader-election options in lockstep with the generic core's
-  // transfer knob (the orchestrator's warm/cold policy flows through here).
-  void SetTransferState(bool enabled) override {
-    StateTransferMigrator::SetTransferState(enabled);
-    leader_options_.transfer_state = enabled;
-  }
 
   uint16_t current_ballot() const { return ballot_; }
   const Options& leader_options() const { return leader_options_; }

@@ -230,7 +230,7 @@ bool RackOrchestrator::OptionEligible(const ManagedApp& app,
 double RackOrchestrator::PredictOptionWatts(const RackPlacementOption& option,
                                             double rate) const {
   double watts = option.network_watts(rate);
-  if (option.policy == ParkPolicy::kReprogram &&
+  if (option.migrator->options().policy == ParkPolicy::kReprogram &&
       option.target->Traits().supports_reprogramming) {
     // Bias against halt-incurring placements so warm targets win ties.
     watts += config_.reprogram_penalty_watts;

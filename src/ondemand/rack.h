@@ -63,7 +63,9 @@ class RackPowerLedger {
 // the app onto it, and the predicted placement power at a given rate. Every
 // shift goes through the generic StateTransferMigrator core (classifier
 // flip + park policy + optional typed-state transfer), so the orchestrator
-// can move any registered app warm or cold without per-app plumbing.
+// can move any registered app warm or cold without per-app plumbing. The
+// migrator's park policy prices the option: kReprogram placements pay the
+// configured penalty so warm targets win ties (§9.2's halt trade-off).
 struct RackPlacementOption {
   OffloadTarget* target = nullptr;
   StateTransferMigrator* migrator = nullptr;
@@ -75,9 +77,6 @@ struct RackPlacementOption {
   // over the app's software idle (network_watts(rate) - software_watts(0)),
   // which is the PDU headroom the offload actually consumes.
   RatePowerFn network_watts;
-  // Park policy the migrator applies; kReprogram placements pay the
-  // configured penalty so warm targets win ties (§9.2's halt trade-off).
-  ParkPolicy policy = ParkPolicy::kGatedPark;
 };
 
 struct RackAppSpec {

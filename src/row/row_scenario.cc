@@ -5,11 +5,24 @@
 #include <string>
 #include <utility>
 
-#include "src/device/switch_asic.h"
 #include "src/ondemand/energy_advisor.h"
 #include "src/workload/arrival.h"
 
 namespace incod {
+
+namespace {
+
+// §8 models every orchestrated member is priced with: its host's curve at a
+// 4 µs service time, and a LaKe board beside the host's 35 W idle draw.
+constexpr SimDuration kHostServiceTime = Microseconds(4);
+constexpr double kHostIdleWatts = 35.0;
+constexpr double kBoardIdleWatts = 24.0;
+constexpr double kBoardDynamicWatts = 1.0;
+constexpr double kBoardCapacityPps = 13e6;
+// Watts one trace background core adds to a member host (§9.3).
+constexpr double kBackgroundWattsPerCore = 18.0;
+
+}  // namespace
 
 RowScenario::RowScenario(ShardedSimulation& sharded, RowSpec spec)
     : sharded_(sharded),
@@ -62,6 +75,13 @@ void RowScenario::Validate() const {
       if (rack < 0 || rack >= n) {
         throw std::invalid_argument("RowScenario: fault event rack out of range");
       }
+    }
+    if (event.kind == RowFaultEventSpec::Kind::kRackFault &&
+        event.rack_event.kind == FaultKind::kPsuBrownout) {
+      // Row racks install no power-cap handler: it would be a silent no-op.
+      throw std::invalid_argument(
+          "RowScenario: a rack PSU brownout is a kRackBrownout event, not a "
+          "forwarded kRackFault");
     }
     const bool brownout = event.kind == RowFaultEventSpec::Kind::kGlobalBrownout ||
                           event.kind == RowFaultEventSpec::Kind::kRackBrownout;
@@ -179,101 +199,28 @@ void RowScenario::ConnectRackToSpine(int r) {
 void RowScenario::BuildOrchestration(int r) {
   const RowRackSpec& rack_spec = spec_.racks[static_cast<size_t>(r)];
   BuiltRack& built = racks_[static_cast<size_t>(r)];
-  Simulation& sim = sharded_.shard(r);
   ScenarioTestbed& testbed = *built.testbed;
-
   built.orchestrator =
-      std::make_unique<RackOrchestrator>(sim, rack_spec.orchestrator);
+      std::make_unique<RackOrchestrator>(sharded_.shard(r), rack_spec.orchestrator);
 
   for (const RowAppSpec& app_spec : rack_spec.apps) {
-    ScenarioMember& member = testbed.member(app_spec.member);
-    if (member.fpga == nullptr || member.host_apps.empty() ||
-        member.offload_app == nullptr) {
-      throw std::invalid_argument(
-          "RowScenario: orchestrated member " + member.name +
-          " needs a host app and a parked FPGA placement");
-    }
-    built.migrators.push_back(std::make_unique<StateTransferMigrator>(
-        sim, *member.fpga,
-        StateTransferMigrator::Options::FromPolicy(ParkPolicy::kGatedPark),
-        member.host_apps.front().get(), member.offload_app.get()));
-    StateTransferMigrator* fpga_migrator = built.migrators.back().get();
-
-    RowManagedApp managed;
-    managed.member = app_spec.member;
-    managed.fpga_migrator = fpga_migrator;
-    built.apps.push_back(managed);
-    double* background = &built.apps.back().background_cores;
-
-    const ScenarioMemberSpec& member_spec =
-        testbed.spec().members.at(app_spec.member);
+    const ServerConfig& host = testbed.spec().members.at(app_spec.member).host.config;
+    RowManagedApp& managed = built.apps.emplace_back();
+    const double* background = &managed.background_cores;
+    auto curve = MakeServerRatePower(host.power_curve, kHostServiceTime, host.num_cores);
     RackAppSpec rack_app;
-    rack_app.name = member.name;
-    rack_app.warm_migration = app_spec.warm_migration;
-    rack_app.checkpoint_period = app_spec.checkpoint_period;
-    auto curve =
-        MakeServerRatePower(member_spec.host.config.power_curve,
-                            app_spec.host_service_time,
-                            member_spec.host.config.num_cores);
     // The trace's background tasks raise the host side of the decision:
     // offload pays exactly while the node is contended (§9.3).
-    const double watts_per_core = rack_spec.background_watts_per_core;
-    rack_app.software_watts = [background, curve, watts_per_core](double rate) {
-      return curve(rate) + 4.0 + *background * watts_per_core;
+    rack_app.software_watts = [background, curve](double rate) {
+      return curve(rate) + 4.0 + *background * kBackgroundWattsPerCore;
     };
-
-    FpgaNic* fpga = member.fpga;
-    SwitchOffloadTarget* switch_target =
-        app_spec.switch_option ? member.switch_target.get() : nullptr;
-    if (app_spec.switch_option && switch_target == nullptr) {
-      throw std::invalid_argument(
-          "RowScenario: member " + member.name +
-          " switch option needs a switch_app on an ASIC ToR");
-    }
-    if (switch_target != nullptr) {
-      rack_app.measured_rate_pps = [fpga, switch_target] {
-        return fpga->AppIngressRatePerSecond() +
-               switch_target->AppIngressRatePerSecond();
-      };
-    } else {
-      rack_app.measured_rate_pps = [fpga] {
-        return fpga->AppIngressRatePerSecond();
-      };
-    }
-    rack_app.options.push_back(RackPlacementOption{
-        fpga, fpga_migrator,
-        MakeFpgaRatePower(app_spec.host_idle_watts, app_spec.board_idle_watts,
-                          app_spec.board_dynamic_watts,
-                          app_spec.board_capacity_pps),
-        ParkPolicy::kGatedPark});
-    if (switch_target != nullptr) {
-      auto* program =
-          dynamic_cast<SwitchProgram*>(member.switch_program_app.get());
-      auto marginal = MakeSwitchMarginalPower(
-          program->PowerOverheadAtFullLoad(),
-          testbed.tor_asic()->asic_config().max_power_watts,
-          testbed.tor_asic()->LineRatePps());
-      built.migrators.push_back(std::make_unique<StateTransferMigrator>(
-          sim, *switch_target,
-          StateTransferMigrator::Options::FromPolicy(ParkPolicy::kKeepWarm),
-          member.host_apps.front().get(), member.switch_program_app.get()));
-      // Only the program's marginal watts on top of the idling host (§9.4) —
-      // the ASIC forwards either way.
-      rack_app.options.push_back(RackPlacementOption{
-          switch_target, built.migrators.back().get(),
-          [curve, marginal](double rate) { return curve(0) + 4.0 + marginal(rate); },
-          ParkPolicy::kKeepWarm});
-    }
-    built.apps.back().rack_index =
-        built.orchestrator->AddApp(std::move(rack_app));
-
-    // Heartbeats ride the member's ToR link: a downed cable makes the
-    // device unreachable (flap suppression), not dead.
-    if (Link* link =
-            testbed.builder().topology().FindLink(member_spec.link_name)) {
-      built.orchestrator->SetHeartbeatReachability(
-          fpga, [link, fpga] { return !link->link_down(fpga); });
-    }
+    const size_t first_migrator = built.migrators.size();
+    managed.rack_index = OrchestrateMember(
+        testbed, app_spec.member, std::move(rack_app),
+        MakeFpgaRatePower(kHostIdleWatts, kBoardIdleWatts, kBoardDynamicWatts,
+                          kBoardCapacityPps),
+        app_spec.switch_option, *built.orchestrator, built.migrators);
+    managed.migrator = built.migrators[first_migrator].get();
   }
 }
 

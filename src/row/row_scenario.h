@@ -2,10 +2,12 @@
 //
 // One shard per rack plus a spine shard; each rack is an unmodified
 // ScenarioTestbed whose ToR uplinks to the spine (the uplink fiber is the
-// engine lookahead). Orchestrated racks get a RackOrchestrator +
-// StateTransferMigrators built from their RowAppSpecs, all reporting to a
-// RowOrchestrator in the spine shard that apportions the global power
-// budget. Row fault plans arm as ordinary setup-time events (uplink flaps,
+// engine lookahead). Orchestrated racks get a RackOrchestrator that
+// OrchestrateMember hands each RowAppSpec member to, as in the mixed rack
+// (FPGA, ToR-only and Paxos-leader members alike); the row adds only the
+// host's §8 curve and the trace background term. Rack orchestrators report
+// to a RowOrchestrator in the spine shard that apportions the global budget.
+// Row fault plans arm as ordinary setup-time events (uplink flaps,
 // global/rack brownouts, fanned-out rack faults), and the optional diurnal
 // Google trace plays back phase-shifted per rack, modulating member hosts'
 // background draw. Runs identically under Mode::kSingleQueue and
@@ -61,8 +63,9 @@ class RowScenario {
   size_t orchestrator_index(int r, size_t app) const {
     return racks_.at(static_cast<size_t>(r)).apps.at(app).rack_index;
   }
+  // The migrator onto the app's first placement (its FPGA, when it has one).
   StateTransferMigrator& migrator(int r, size_t app) {
-    return *racks_.at(static_cast<size_t>(r)).apps.at(app).fpga_migrator;
+    return *racks_.at(static_cast<size_t>(r)).apps.at(app).migrator;
   }
   // Background cores the trace currently runs on the app's host.
   double background_cores(int r, size_t app) const {
@@ -79,9 +82,8 @@ class RowScenario {
 
  private:
   struct RowManagedApp {
-    size_t member = 0;
     size_t rack_index = 0;  // Index inside the rack orchestrator.
-    StateTransferMigrator* fpga_migrator = nullptr;
+    StateTransferMigrator* migrator = nullptr;  // First placement's.
     double background_cores = 0;  // Modulated by the trace playback.
   };
   struct BuiltRack {

@@ -8,7 +8,9 @@
 // RowOrchestrator that apportions the shared datacenter budget
 // (row_orchestrator.h). The rack specs themselves stay *unmodified*
 // ScenarioSpecs: the row only assigns their shard, resolves their shared
-// zone, and appends its rack-scoped fault events to their plans.
+// zone, and appends its rack-scoped fault events to their plans. An
+// orchestrated rack names its managed members in RowAppSpecs; placements,
+// migrators and rates all derive from what each member built.
 #ifndef INCOD_SRC_ROW_ROW_SPEC_H_
 #define INCOD_SRC_ROW_ROW_SPEC_H_
 
@@ -33,23 +35,16 @@ struct RowClientSpec {
   int shard = -1;      // -1: the rack's own shard.
 };
 
-// Orchestration wiring for one member of an orchestrated rack: which §8
-// models the rack orchestrator predicts with, and how the app migrates.
-// The member must carry a host app and an FPGA target with the same
-// registry family (target.initially_active = false — the migrator parks).
+// One orchestrated member of a rack, wired by OrchestrateMember: the member
+// needs a host app plus a parked FPGA placement (target.initially_active =
+// false — the migrator parks), a switch option, or both. A software + P4xos
+// leader pair gets the Paxos leader migrator. Shifts are cold; checkpoints
+// follow the rack orchestrator config's cadence.
 struct RowAppSpec {
   size_t member = 0;  // Index into the rack ScenarioSpec's members.
-  SimDuration host_service_time = Microseconds(4);
-  bool warm_migration = false;
-  // < 0: inherit the rack orchestrator config's checkpoint_period.
-  SimDuration checkpoint_period = -1;
-  // FPGA placement power model (MakeFpgaRatePower).
-  double host_idle_watts = 35.0;
-  double board_idle_watts = 24.0;
-  double board_dynamic_watts = 1.0;
-  double board_capacity_pps = 13e6;
   // Offer the member's switch-hosted placement (spec.switch_app on an ASIC
-  // ToR) as a second option — the surviving landing spot for recovery.
+  // ToR) after the FPGA — the surviving landing spot for recovery, or the
+  // only placement of a member without an FPGA.
   bool switch_option = false;
 };
 
@@ -59,15 +54,12 @@ struct RowRackSpec {
   // rack-scoped row fault events to scenario.faults before building.
   ScenarioSpec scenario;
   std::vector<RowClientSpec> clients;
-  // Build a RackOrchestrator (+ StateTransferMigrators per RowAppSpec) in
-  // the rack's shard. Its power budget is the row's initial apportionment
-  // when the row has a global budget, else orchestrator.power_budget_watts.
+  // Build a RackOrchestrator (+ migrators per RowAppSpec) in the rack's
+  // shard. Its power budget is the row's initial apportionment when the row
+  // has a global budget, else orchestrator.power_budget_watts.
   bool orchestrate = false;
   RackOrchestratorConfig orchestrator;
   std::vector<RowAppSpec> apps;
-  // Watts one trace background core adds to a member host (§9.3 decision
-  // input; only meaningful with the row trace enabled).
-  double background_watts_per_core = 18.0;
 };
 
 // Global power apportionment policy (row_orchestrator.h executes it).
@@ -113,9 +105,10 @@ struct RowFaultEventSpec {
     // Spine uplink flaps for the selected racks (Link::ScheduleDown/Up).
     kUplinkDown,
     kUplinkUp,
-    // Forward an ordinary rack-level fault (device death, member link flap,
-    // rack PSU brownout) to each selected rack's own injector; rack_event's
-    // `at` is overridden by this event's `at`.
+    // Forward an ordinary rack-level fault (device death, member link flap)
+    // to each selected rack's own injector; rack_event's `at` is overridden
+    // by this event's `at`. A rack PSU brownout is kRackBrownout: the row
+    // rejects a forwarded kPsuBrownout, which no rack handler would apply.
     kRackFault,
   };
   Kind kind = Kind::kGlobalBrownout;

@@ -140,9 +140,7 @@ MixedRackScenario::MixedRackScenario(Simulation& sim, MixedRackOptions options)
   zone_.FillSynthetic(options_.zone_size);
   testbed_ = std::make_unique<ScenarioTestbed>(sim_,
                                                MakeMixedRackSpec(options_, &zone_));
-  ResolveMembers();
-  BuildMigrators();
-  RegisterApps();
+  BuildOrchestration();
 }
 
 MixedRackScenario::MixedRackScenario(ShardedSimulation& sharded,
@@ -157,60 +155,57 @@ MixedRackScenario::MixedRackScenario(ShardedSimulation& sharded,
   spec.shard = plan_.rack;
   spec.client_link.propagation_delay = plan_.client_propagation;
   testbed_ = std::make_unique<ScenarioTestbed>(sharded, std::move(spec));
-  ResolveMembers();
-  BuildMigrators();
-  RegisterApps();
+  BuildOrchestration();
 }
 
-void MixedRackScenario::ResolveMembers() {
-  ScenarioMember& kvs = testbed_->member("kvs");
-  kvs_server_ = kvs.server;
-  kvs_fpga_ = kvs.fpga;
-  memcached_ = dynamic_cast<MemcachedServer*>(kvs.host_apps.front().get());
-  lake_ = dynamic_cast<LakeCache*>(kvs.offload_app.get());
-  netcache_ = dynamic_cast<KvSwitchCache*>(kvs.switch_program_app.get());
-  kvs_switch_target_ = kvs.switch_target.get();
-
-  ScenarioMember& dns = testbed_->member("dns");
-  dns_server_ = dns.server;
-  dns_nic_ = dns.nic;
-  nsd_ = dynamic_cast<NsdServer*>(dns.host_apps.front().get());
-  dns_program_ = dynamic_cast<DnsSwitchProgram*>(dns.switch_program_app.get());
-  dns_target_ = dns.switch_target.get();
-
-  if (options_.enable_paxos) {
-    ScenarioMember& paxos = testbed_->member("paxos");
-    paxos_host_ = paxos.server;
-    paxos_fpga_ = paxos.fpga;
-    paxos_port_ = paxos.port;
-    software_leader_ = dynamic_cast<SoftwareLeader*>(paxos.host_apps.front().get());
-    fpga_leader_ = dynamic_cast<P4xosFpgaApp*>(paxos.offload_app.get());
-    auto* learner = dynamic_cast<SoftwareLearner*>(
-        testbed_->member("learner").host_apps.front().get());
-    learner->StartGapTimer();
+StateTransferMigrator* MixedRackScenario::MigratorFor(const OffloadTarget* target) {
+  for (const auto& migrator : migrators_) {
+    if (&migrator->target() == target) {
+      return migrator.get();
+    }
   }
+  return nullptr;
 }
 
-void MixedRackScenario::BuildMigrators() {
-  // Starts parked on the host placement (the migrator applies the policy).
-  kvs_migrator_ = std::make_unique<StateTransferMigrator>(
-      sim_, *kvs_fpga_,
-      StateTransferMigrator::Options::FromPolicy(ParkPolicy::kGatedPark), memcached_,
-      lake_);
-  dns_migrator_ = std::make_unique<StateTransferMigrator>(
-      sim_, *dns_target_,
-      StateTransferMigrator::Options::FromPolicy(ParkPolicy::kKeepWarm), nsd_,
-      dns_program_);
-  if (kvs_switch_target_ != nullptr) {
-    kvs_switch_migrator_ = std::make_unique<StateTransferMigrator>(
-        sim_, *kvs_switch_target_,
-        StateTransferMigrator::Options::FromPolicy(ParkPolicy::kKeepWarm), memcached_,
-        netcache_);
-  }
+void MixedRackScenario::BuildOrchestration() {
   if (options_.enable_paxos) {
-    paxos_migrator_ = std::make_unique<PaxosLeaderMigrator>(
-        sim_, tor(), kRackPaxosLeaderService, *software_leader_, paxos_port_,
-        *paxos_fpga_, *fpga_leader_, paxos_port_);
+    dynamic_cast<SoftwareLearner*>(testbed_->member("learner").host_apps.front().get())
+        ->StartGapTimer();
+  }
+  RackOrchestratorConfig config = options_.orchestrator;
+  config.power_budget_watts = options_.power_budget_watts;
+  orchestrator_ = std::make_unique<RackOrchestrator>(sim_, config);
+
+  // §8-calibrated placement models. Both sides include the host (it stays
+  // powered either way) so the delta is the true placement cost.
+  const double kHostIdleWatts = 35.0;
+
+  RackAppSpec kvs;
+  kvs.warm_migration = options_.warm.kvs;
+  kvs.checkpoint_period = options_.kvs_checkpoint_period;
+  auto kvs_curve = MakeServerRatePower(I7MemcachedCurve(), Microseconds(4), 4);
+  kvs.software_watts = [kvs_curve](double r) { return kvs_curve(r) + 4.0; };
+  kvs_app_ = OrchestrateMember(*testbed_, kKvsMember, std::move(kvs),
+                               MakeFpgaRatePower(kHostIdleWatts, 24.0, 1.0, 13e6),
+                               options_.kvs_switch_placement, *orchestrator_, migrators_);
+
+  // DNS has no FPGA: its one placement is the switch-DNS program (§9.2).
+  RackAppSpec dns;
+  dns.warm_migration = options_.warm.dns;
+  auto dns_curve = MakeServerRatePower(I7NsdCurve(), Nanoseconds(4180), 4);
+  dns.software_watts = [dns_curve](double r) { return dns_curve(r) + 4.0; };
+  dns_app_ = OrchestrateMember(*testbed_, kDnsMember, std::move(dns), nullptr,
+                               /*switch_option=*/true, *orchestrator_, migrators_);
+
+  if (options_.enable_paxos) {
+    RackAppSpec paxos;
+    paxos.warm_migration = options_.warm.paxos;
+    paxos.checkpoint_period = options_.paxos_checkpoint_period;
+    paxos.restore_checkpoint_to_home = options_.paxos_restore_to_home;
+    paxos.software_watts = MakeServerRatePower(I7LibpaxosCurve(), Nanoseconds(5600), 1);
+    paxos_app_ = OrchestrateMember(*testbed_, kPaxosMember, std::move(paxos),
+                                   MakeFpgaRatePower(kHostIdleWatts, 12.6, 1.2, 10e6),
+                                   /*switch_option=*/false, *orchestrator_, migrators_);
 
     options_.paxos_client.node = kRackPaxosClientNode;
     options_.paxos_client.leader_service = kRackPaxosLeaderService;
@@ -229,77 +224,6 @@ void MixedRackScenario::BuildMigrators() {
     Link* link = testbed_->builder().topology().ConnectToSwitch(
         testbed_->tor(), paxos_client_.get(), kRackPaxosClientNode, client_link);
     paxos_client_->SetUplink(link);
-  }
-}
-
-void MixedRackScenario::RegisterApps() {
-  RackOrchestratorConfig config = options_.orchestrator;
-  config.power_budget_watts = options_.power_budget_watts;
-  orchestrator_ = std::make_unique<RackOrchestrator>(sim_, config);
-
-  // §8-calibrated placement models. Both sides include the host (it stays
-  // powered either way) so the delta is the true placement cost.
-  const double kHostIdleWatts = 35.0;
-
-  RackAppSpec kvs;
-  kvs.name = "kvs";
-  kvs.warm_migration = options_.warm.kvs;
-  kvs.checkpoint_period = options_.kvs_checkpoint_period;
-  auto kvs_curve = MakeServerRatePower(I7MemcachedCurve(), Microseconds(4), 4);
-  kvs.software_watts = [kvs_curve](double r) { return kvs_curve(r) + 4.0; };
-  kvs.measured_rate_pps = [this] { return kvs_fpga_->AppIngressRatePerSecond(); };
-  kvs.options.push_back(RackPlacementOption{
-      kvs_fpga_, kvs_migrator_.get(),
-      MakeFpgaRatePower(kHostIdleWatts, 24.0, 1.0, 13e6), ParkPolicy::kGatedPark});
-  if (kvs_switch_target_ != nullptr) {
-    // NetCache placement: host idles while the ToR answers; the program's
-    // marginal pipeline watts ride on top (same model as the DNS program).
-    auto kvs_marginal = MakeSwitchMarginalPower(
-        netcache_->PowerOverheadAtFullLoad(), tor().asic_config().max_power_watts,
-        tor().LineRatePps());
-    RatePowerFn kvs_switch_watts = [kvs_curve, kvs_marginal](double r) {
-      return kvs_curve(0) + 4.0 + kvs_marginal(r);
-    };
-    kvs.measured_rate_pps = [this] {
-      return kvs_fpga_->AppIngressRatePerSecond() +
-             kvs_switch_target_->AppIngressRatePerSecond();
-    };
-    kvs.options.push_back(RackPlacementOption{kvs_switch_target_,
-                                              kvs_switch_migrator_.get(),
-                                              std::move(kvs_switch_watts),
-                                              ParkPolicy::kKeepWarm});
-  }
-  kvs_app_ = orchestrator_->AddApp(std::move(kvs));
-
-  RackAppSpec dns;
-  dns.name = "dns";
-  dns.warm_migration = options_.warm.dns;
-  auto dns_curve = MakeServerRatePower(I7NsdCurve(), Nanoseconds(4180), 4);
-  dns.software_watts = [dns_curve](double r) { return dns_curve(r) + 4.0; };
-  auto dns_marginal = MakeSwitchMarginalPower(
-      dns_program_->PowerOverheadAtFullLoad(), tor().asic_config().max_power_watts,
-      tor().LineRatePps());
-  // Host idles (rate 0) while the ToR answers; marginal program watts on top.
-  RatePowerFn dns_network = [dns_curve, dns_marginal](double r) {
-    return dns_curve(0) + 4.0 + dns_marginal(r);
-  };
-  dns.measured_rate_pps = [this] { return dns_target_->AppIngressRatePerSecond(); };
-  dns.options.push_back(RackPlacementOption{dns_target_, dns_migrator_.get(),
-                                            std::move(dns_network), ParkPolicy::kKeepWarm});
-  dns_app_ = orchestrator_->AddApp(std::move(dns));
-
-  if (options_.enable_paxos) {
-    RackAppSpec paxos;
-    paxos.name = "paxos";
-    paxos.warm_migration = options_.warm.paxos;
-    paxos.checkpoint_period = options_.paxos_checkpoint_period;
-    paxos.restore_checkpoint_to_home = options_.paxos_restore_to_home;
-    paxos.software_watts = MakeServerRatePower(I7LibpaxosCurve(), Nanoseconds(5600), 1);
-    paxos.measured_rate_pps = [this] { return paxos_fpga_->AppIngressRatePerSecond(); };
-    paxos.options.push_back(RackPlacementOption{
-        paxos_fpga_, paxos_migrator_.get(),
-        MakeFpgaRatePower(kHostIdleWatts, 12.6, 1.2, 10e6), ParkPolicy::kKeepWarm});
-    paxos_app_ = orchestrator_->AddApp(std::move(paxos));
   }
 
   // PSU brownouts step the shared budget through the orchestrator's

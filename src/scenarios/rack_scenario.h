@@ -15,7 +15,9 @@
 // through the generic StateTransferMigrator core, with a per-app warm/cold
 // policy. The whole topology is a switch-centric ScenarioSpec
 // (MakeMixedRackSpec): every app is a member built purely from AppRegistry
-// names; this class is a veneer keeping typed accessors for benches/tests.
+// names, handed to the orchestrator by OrchestrateMember like every row
+// rack's (so FPGA heartbeats ride member links). This class adds only the
+// §8 power models and typed accessors over the members for benches/tests.
 #ifndef INCOD_SRC_SCENARIOS_RACK_SCENARIO_H_
 #define INCOD_SRC_SCENARIOS_RACK_SCENARIO_H_
 
@@ -123,39 +125,42 @@ class MixedRackScenario {
                     MixedRackOptions options = {});
 
   Simulation& sim() { return sim_; }
-  TestbedBuilder& builder() { return testbed_->builder(); }
   WallPowerMeter& meter() { return testbed_->meter(); }
   RackOrchestrator& orchestrator() { return *orchestrator_; }
   ScenarioTestbed& scenario() { return *testbed_; }
 
   // Targets (two OffloadTarget implementations + optionally more).
   SwitchAsic& tor() { return *testbed_->tor_asic(); }
-  FpgaNic& kvs_fpga() { return *kvs_fpga_; }
-  SwitchOffloadTarget& dns_target() { return *dns_target_; }
-  FpgaNic* paxos_fpga() { return paxos_fpga_; }
-  // Second KVS placement (null unless options.kvs_switch_placement).
-  SwitchOffloadTarget* kvs_switch_target() { return kvs_switch_target_; }
+  FpgaNic& kvs_fpga() { return *kvs().fpga; }
+  SwitchOffloadTarget& dns_target() { return *dns().switch_target; }
+  FpgaNic* paxos_fpga() {
+    return options_.enable_paxos ? testbed_->member(kPaxosMember).fpga : nullptr;
+  }
 
   // Fault injection: every server/device/link of the rack is registered by
   // name; options.faults was armed at build time.
   FaultInjector& faults() { return testbed_->faults(); }
 
-  Server& kvs_server() { return *kvs_server_; }
-  Server& dns_server() { return *dns_server_; }
-  Server* paxos_host() { return paxos_host_; }
+  Server& kvs_server() { return *kvs().server; }
+  Server& dns_server() { return *dns().server; }
 
-  StateTransferMigrator& kvs_migrator() { return *kvs_migrator_; }
-  StateTransferMigrator& dns_migrator() { return *dns_migrator_; }
-  PaxosLeaderMigrator* paxos_migrator() { return paxos_migrator_.get(); }
-  StateTransferMigrator* kvs_switch_migrator() { return kvs_switch_migrator_.get(); }
+  StateTransferMigrator& kvs_migrator() { return *MigratorFor(&kvs_fpga()); }
+  StateTransferMigrator& dns_migrator() { return *MigratorFor(&dns_target()); }
+  PaxosLeaderMigrator* paxos_migrator() {
+    return static_cast<PaxosLeaderMigrator*>(MigratorFor(paxos_fpga()));
+  }
 
-  MemcachedServer& memcached() { return *memcached_; }
-  LakeCache& lake() { return *lake_; }
-  KvSwitchCache* netcache() { return netcache_; }
-  SoftwareLeader* software_leader() { return software_leader_; }
-  P4xosFpgaApp* fpga_leader() { return fpga_leader_; }
-  DnsSwitchProgram& dns_program() { return *dns_program_; }
-  Zone& zone() { return zone_; }
+  MemcachedServer& memcached() {
+    return *testbed_->member_host_app_as<MemcachedServer>(kKvsMember);
+  }
+  LakeCache& lake() { return *testbed_->member_offload_app_as<LakeCache>(kKvsMember); }
+  // NetCache in the ToR (null unless options.kvs_switch_placement).
+  KvSwitchCache* netcache() {
+    return dynamic_cast<KvSwitchCache*>(kvs().switch_program_app.get());
+  }
+  DnsSwitchProgram& dns_program() {
+    return *dynamic_cast<DnsSwitchProgram*>(dns().switch_program_app.get());
+  }
 
   // Orchestrator app indices (for current_option / shift introspection).
   // paxos_app_index() throws when the scenario was built without Paxos.
@@ -176,9 +181,16 @@ class MixedRackScenario {
   void PrefillKvs(uint64_t count, uint32_t value_bytes);
 
  private:
-  void ResolveMembers();
-  void BuildMigrators();
-  void RegisterApps();
+  // MakeMixedRackSpec's member order.
+  static constexpr size_t kKvsMember = 0;
+  static constexpr size_t kDnsMember = 1;
+  static constexpr size_t kPaxosMember = 2;
+
+  void BuildOrchestration();
+  ScenarioMember& kvs() { return testbed_->member(kKvsMember); }
+  ScenarioMember& dns() { return testbed_->member(kDnsMember); }
+  // The migrator onto `target` (null for a null or unorchestrated target).
+  StateTransferMigrator* MigratorFor(const OffloadTarget* target);
   int ClientShard(int shard) const { return sharded_ != nullptr ? shard : -1; }
 
   Simulation& sim_;
@@ -187,29 +199,7 @@ class MixedRackScenario {
   MixedRackShardPlan plan_;
   Zone zone_;
   std::unique_ptr<ScenarioTestbed> testbed_;
-
-  // Non-owning views into the spec-built members.
-  Server* kvs_server_ = nullptr;
-  Server* dns_server_ = nullptr;
-  Server* paxos_host_ = nullptr;
-  FpgaNic* kvs_fpga_ = nullptr;
-  FpgaNic* paxos_fpga_ = nullptr;
-  ConventionalNic* dns_nic_ = nullptr;
-  int paxos_port_ = -1;
-  MemcachedServer* memcached_ = nullptr;
-  LakeCache* lake_ = nullptr;
-  NsdServer* nsd_ = nullptr;
-  DnsSwitchProgram* dns_program_ = nullptr;
-  SwitchOffloadTarget* dns_target_ = nullptr;
-  KvSwitchCache* netcache_ = nullptr;
-  SwitchOffloadTarget* kvs_switch_target_ = nullptr;
-  SoftwareLeader* software_leader_ = nullptr;
-  P4xosFpgaApp* fpga_leader_ = nullptr;
-
-  std::unique_ptr<StateTransferMigrator> kvs_migrator_;
-  std::unique_ptr<StateTransferMigrator> dns_migrator_;
-  std::unique_ptr<StateTransferMigrator> kvs_switch_migrator_;
-  std::unique_ptr<PaxosLeaderMigrator> paxos_migrator_;
+  std::vector<std::unique_ptr<StateTransferMigrator>> migrators_;
   std::unique_ptr<RackOrchestrator> orchestrator_;
   std::unique_ptr<PaxosClient> paxos_client_;
 

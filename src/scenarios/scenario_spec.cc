@@ -4,6 +4,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "src/device/switch_asic.h"
 #include "src/dns/dns_message.h"
 #include "src/kvs/kv_protocol.h"
 #include "src/workload/dns_workload.h"
@@ -407,6 +408,81 @@ void ScenarioTestbed::BuildWorkload() {
             std::make_unique<ConstantArrival>(spec_.workload.rate_per_second),
             std::move(factory));
   client_->Start();
+}
+
+size_t OrchestrateMember(ScenarioTestbed& testbed, size_t member, RackAppSpec app,
+                         RatePowerFn fpga_watts, bool switch_option,
+                         RackOrchestrator& orchestrator,
+                         std::vector<std::unique_ptr<StateTransferMigrator>>& migrators) {
+  ScenarioMember& built = testbed.member(member);
+  const ScenarioMemberSpec& spec = testbed.spec().members.at(member);
+  FpgaNic* fpga = built.offload_app != nullptr ? built.fpga : nullptr;
+  const auto reject = [&built](const char* why) {
+    throw std::invalid_argument("OrchestrateMember: member " + built.name + why);
+  };
+  if (built.host_apps.empty()) {
+    reject(" needs a host app");
+  }
+  if (fpga == nullptr && !switch_option) {
+    reject(" has no FPGA placement and no switch option");
+  }
+  if (switch_option && built.switch_target == nullptr) {
+    reject(" switch option needs a switch_app on an ASIC ToR");
+  }
+  Simulation& sim = testbed.sim();
+  App* host_app = built.host_apps.front().get();
+  app.name = built.name;
+  std::vector<const OffloadTarget*> targets;
+
+  if (fpga != nullptr) {
+    auto* software_leader = dynamic_cast<SoftwareLeader*>(host_app);
+    auto* hardware_leader = dynamic_cast<P4xosFpgaApp*>(built.offload_app.get());
+    if (software_leader != nullptr && hardware_leader != nullptr) {
+      migrators.push_back(std::make_unique<PaxosLeaderMigrator>(
+          sim, *testbed.tor(), spec.env.service, *software_leader, built.port, *fpga,
+          *hardware_leader, built.port));
+    } else {
+      migrators.push_back(std::make_unique<StateTransferMigrator>(
+          sim, *fpga, StateTransferMigrator::Options::FromPolicy(ParkPolicy::kGatedPark),
+          host_app, built.offload_app.get()));
+    }
+    app.options.push_back(
+        RackPlacementOption{fpga, migrators.back().get(), std::move(fpga_watts)});
+    targets.push_back(fpga);
+    if (Link* link = testbed.builder().topology().FindLink(spec.link_name)) {
+      orchestrator.SetHeartbeatReachability(
+          fpga, [link, fpga] { return !link->link_down(fpga); });
+    }
+  }
+
+  if (switch_option) {
+    SwitchOffloadTarget* target = built.switch_target.get();
+    const SwitchAsic& asic = *testbed.tor_asic();
+    auto* program = dynamic_cast<SwitchProgram*>(built.switch_program_app.get());
+    RatePowerFn marginal =
+        MakeSwitchMarginalPower(program->PowerOverheadAtFullLoad(),
+                                asic.asic_config().max_power_watts, asic.LineRatePps());
+    const double host_idle_watts = app.software_watts(0);
+    migrators.push_back(std::make_unique<StateTransferMigrator>(
+        sim, *target, StateTransferMigrator::Options::FromPolicy(ParkPolicy::kKeepWarm),
+        host_app, built.switch_program_app.get()));
+    // The ASIC forwards either way: only the program's marginal watts ride
+    // on top of the idling host.
+    app.options.push_back(RackPlacementOption{
+        target, migrators.back().get(), [host_idle_watts, marginal](double rate) {
+          return host_idle_watts + marginal(rate);
+        }});
+    targets.push_back(target);
+  }
+
+  app.measured_rate_pps = [targets] {
+    double rate = 0;
+    for (const OffloadTarget* target : targets) {
+      rate += target->AppIngressRatePerSecond();
+    }
+    return rate;
+  };
+  return orchestrator.AddApp(std::move(app));
 }
 
 }  // namespace incod

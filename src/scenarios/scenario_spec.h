@@ -18,7 +18,8 @@
 // KVS and DNS testbeds, the Fig 3/4/6 benches, the mixed rack and every row
 // rack share this one build path. Apps are created through AppRegistry, so
 // a new application reaches every spec-built scenario by registering one
-// factory.
+// factory. OrchestrateMember hands a built member to a RackOrchestrator;
+// the mixed rack and every orchestrated row rack share that one wiring.
 #ifndef INCOD_SRC_SCENARIOS_SCENARIO_SPEC_H_
 #define INCOD_SRC_SCENARIOS_SCENARIO_SPEC_H_
 
@@ -30,6 +31,7 @@
 #include "src/app/app_registry.h"
 #include "src/device/switch_offload.h"
 #include "src/fault/fault_injector.h"
+#include "src/ondemand/rack.h"
 #include "src/scenarios/testbed_builder.h"
 
 namespace incod {
@@ -290,6 +292,27 @@ class ScenarioTestbed {
   std::vector<ScenarioMember> members_;
   std::unique_ptr<FaultInjector> faults_;
 };
+
+// Registers built member `member` with `orchestrator` as one app named after
+// it, and returns the app's orchestrator index. `app` carries the caller's
+// host model and policies; everything else comes from what the member built:
+//   * placements, in this order: the parked FPGA (when the member has one),
+//     priced by `fpga_watts`; then, with `switch_option`, the ToR program,
+//     priced as the idling host (app.software_watts(0), read once here) plus
+//     the program's marginal pipeline watts (§9.4);
+//   * migrators, appended to `migrators`: a PaxosLeaderMigrator for a
+//     software + P4xos leader pair (the member's ToR port serves both, the
+//     service address is env.service), else a gated-park core for the FPGA
+//     and a keep-warm core for the ToR program;
+//   * the measured rate: the sum of the placements' classifier-visible rates;
+//   * heartbeats to the FPGA ride the member's link_name link, so a flapped
+//     cable reads as unreachable, not dead.
+// Throws std::invalid_argument when the member has no host app or no
+// placement, or when `switch_option` is set without a switch target.
+size_t OrchestrateMember(ScenarioTestbed& testbed, size_t member, RackAppSpec app,
+                         RatePowerFn fpga_watts, bool switch_option,
+                         RackOrchestrator& orchestrator,
+                         std::vector<std::unique_ptr<StateTransferMigrator>>& migrators);
 
 }  // namespace incod
 

@@ -526,12 +526,11 @@ TEST(StateTransferMigratorTest, PaxosLeaderGenericPathSkipsTheLearningGap) {
   options.client.requests_per_second = 10000;
   PaxosTestbed testbed(sim, options);
 
-  PaxosLeaderMigrator::Options migrator_options;
-  migrator_options.transfer_state = true;  // Generic state-transfer path.
   PaxosLeaderMigrator migrator(sim, testbed.net_switch(), kPaxosLeaderService,
                                *testbed.software_leader(), testbed.leader_port(),
                                *testbed.sut_fpga(), *testbed.fpga_leader(),
-                               testbed.leader_port(), migrator_options);
+                               testbed.leader_port());
+  migrator.SetTransferState(true);  // Generic state-transfer path.
   testbed.client().Start();
   uint32_t software_sequence_at_shift = 0;
   sim.Schedule(Seconds(1), [&] {

@@ -152,10 +152,10 @@ TEST(KvsIntegrationTest, Fig6StyleHostControlledTransition) {
                                    std::make_unique<PoissonArrival>(100000.0),
                                    etc.MakeFactory());
 
-  StateTransferMigrator::Options migrate_options;
-  migrate_options.clock_gate_when_idle = false;  // Fig 6 ran without gating.
-  migrate_options.reset_memories_when_idle = false;
-  StateTransferMigrator migrator(sim, *testbed.fpga(), migrate_options);
+  // Fig 6 ran without clock gating / memory reset: the keep-warm park.
+  StateTransferMigrator migrator(
+      sim, *testbed.fpga(),
+      StateTransferMigrator::Options::FromPolicy(ParkPolicy::kKeepWarm));
   RaplCounter rapl(sim, [&] { return testbed.server()->RaplPackageWatts(); });
   rapl.Start();
   HostControllerConfig controller_config;

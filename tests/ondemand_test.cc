@@ -66,10 +66,8 @@ TEST(StateTransferMigratorTest, ShiftBackRestoresSavings) {
 
 TEST(StateTransferMigratorTest, OptionsDisableSavings) {
   MigratorHarness h;
-  StateTransferMigrator::Options options;
-  options.clock_gate_when_idle = false;
-  options.reset_memories_when_idle = false;
-  StateTransferMigrator migrator(h.sim, h.fpga, options);
+  StateTransferMigrator migrator(
+      h.sim, h.fpga, StateTransferMigrator::Options::FromPolicy(ParkPolicy::kKeepWarm));
   EXPECT_FALSE(h.fpga.clock_gating());
   EXPECT_FALSE(h.fpga.memory_reset());
 }

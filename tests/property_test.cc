@@ -332,8 +332,7 @@ TEST_P(RackShiftScheduleTest, LedgerStaysWithinBudgetAndCountersReconcile) {
       migrators.push_back(std::make_unique<StateTransferMigrator>(
           sim, target, StateTransferMigrator::Options::FromPolicy(policy)));
       spec.options.push_back(
-          RackPlacementOption{&target, migrators.back().get(), std::move(watts),
-                              policy});
+          RackPlacementOption{&target, migrators.back().get(), std::move(watts)});
     };
     // App 0's firmware fits a leaner FPGA build, making the reprogram-parked
     // board its cheapest option — the reconfiguration halts that produce

@@ -115,9 +115,9 @@ struct OrchestratorHarness {
     spec.software_watts = [](double r) { return 35.0 + r / 5000.0; };
     spec.measured_rate_pps = [this] { return rate_value; };
     spec.options.push_back(RackPlacementOption{
-        &pricey, &pricey_migrator, [](double) { return 65.0; }, ParkPolicy::kGatedPark});
+        &pricey, &pricey_migrator, [](double) { return 65.0; }});
     spec.options.push_back(RackPlacementOption{
-        &cheap, &cheap_migrator, [](double) { return 45.0; }, ParkPolicy::kKeepWarm});
+        &cheap, &cheap_migrator, [](double) { return 45.0; }});
     return spec;
   }
 
@@ -149,8 +149,7 @@ TEST(RackOrchestratorTest, CapacityExhaustionFallsBackToNextTarget) {
   FakeMigrator tiny_migrator(h.sim, tiny);
   RackAppSpec spec = h.AppWithBothOptions(200000);
   spec.options[1] = RackPlacementOption{&tiny, &tiny_migrator,
-                                        [](double) { return 45.0; },
-                                        ParkPolicy::kKeepWarm};
+                                        [](double) { return 45.0; }};
   RackOrchestrator orchestrator(h.sim, RackOrchestratorConfig{});
   const size_t app = orchestrator.AddApp(std::move(spec));
   orchestrator.Start();
@@ -176,7 +175,7 @@ TEST(RackOrchestratorTest, SharedBudgetBlocksSecondApp) {
   second.software_watts = [](double r) { return 35.0 + r / 5000.0; };
   second.measured_rate_pps = [] { return 200000.0; };
   second.options.push_back(RackPlacementOption{
-      &other, &other_migrator, [](double) { return 45.0; }, ParkPolicy::kKeepWarm});
+      &other, &other_migrator, [](double) { return 45.0; }});
   const size_t a = orchestrator.AddApp(std::move(first));
   const size_t b = orchestrator.AddApp(std::move(second));
   orchestrator.Start();
@@ -218,7 +217,7 @@ TEST(RackOrchestratorTest, ReturnsHomeWhenNetworkStopsPaying) {
   spec.software_watts = [](double r) { return 35.0 + r / 10000.0; };  // 65 W @300k.
   spec.measured_rate_pps = [&rate] { return rate; };
   spec.options.push_back(RackPlacementOption{
-      &target, &migrator, [](double) { return 45.0; }, ParkPolicy::kKeepWarm});
+      &target, &migrator, [](double) { return 45.0; }});
   RackOrchestratorConfig config;
   config.min_dwell = Milliseconds(200);
   RackOrchestrator orchestrator(sim, config);
@@ -267,16 +266,13 @@ TEST(RackOrchestratorTest, MigratesToCheaperTargetWhenCapacityFrees) {
   a.name = "a";
   a.software_watts = [](double r) { return 35.0 + r / 5000.0; };
   a.measured_rate_pps = [&rate_a] { return rate_a; };
-  a.options.push_back(RackPlacementOption{&cheap, &cheap_a, [](double) { return 45.0; },
-                                          ParkPolicy::kKeepWarm});
+  a.options.push_back(RackPlacementOption{&cheap, &cheap_a, [](double) { return 45.0; }});
   RackAppSpec b;
   b.name = "b";
   b.software_watts = [](double r) { return 35.0 + r / 5000.0; };
   b.measured_rate_pps = [&rate_b] { return rate_b; };
-  b.options.push_back(RackPlacementOption{&cheap, &cheap_b, [](double) { return 45.0; },
-                                          ParkPolicy::kKeepWarm});
-  b.options.push_back(RackPlacementOption{&pricey, &pricey_b, [](double) { return 50.0; },
-                                          ParkPolicy::kKeepWarm});
+  b.options.push_back(RackPlacementOption{&cheap, &cheap_b, [](double) { return 45.0; }});
+  b.options.push_back(RackPlacementOption{&pricey, &pricey_b, [](double) { return 50.0; }});
 
   RackOrchestratorConfig config;
   config.min_dwell = Milliseconds(200);
@@ -443,8 +439,7 @@ TEST(RackRecoveryTest, PowerCapEvictsLargestCommitmentsFirst) {
   b.software_watts = [](double r) { return 35.0 + r / 5000.0; };
   b.measured_rate_pps = [] { return 100000.0; };
   b.options.push_back(RackPlacementOption{&h.pricey, &pricey_b,
-                                          [](double) { return 65.0; },
-                                          ParkPolicy::kKeepWarm});
+                                          [](double) { return 65.0; }});
   const size_t app_b = orchestrator.AddApp(std::move(b));
   orchestrator.Start();
   orchestrator.ForcePlacement(app_a, 1);
@@ -636,8 +631,7 @@ TEST(RackWarmMigrationTest, ScenarioSpecRackWarmShiftsKvsOntoSmartNic) {
         lake->OffloadProfile().smartnic.MppsFractionFor(board->preset().arch);
     rack_app.options.push_back(RackPlacementOption{
         board, &migrator,
-        MakeSmartNicRatePower(/*host_idle_watts=*/35.0, board->preset(), app_fraction),
-        ParkPolicy::kGatedPark});
+        MakeSmartNicRatePower(/*host_idle_watts=*/35.0, board->preset(), app_fraction)});
     orchestrator.AddApp(std::move(rack_app));
 
     EtcWorkloadConfig etc_config;
@@ -729,7 +723,7 @@ TEST(RackWarmMigrationTest, WarmShiftPreservesPaxosBallotAndSequence) {
     FpgaNic* fpga = testbed.sut_fpga();
     spec.measured_rate_pps = [fpga] { return fpga->AppIngressRatePerSecond(); };
     spec.options.push_back(RackPlacementOption{
-        fpga, &migrator, [](double) { return 50.0; }, ParkPolicy::kKeepWarm});
+        fpga, &migrator, [](double) { return 50.0; }});
     orchestrator.AddApp(std::move(spec));
 
     Result result;
@@ -944,6 +938,36 @@ TEST(MixedRackScenarioTest, PaxosLeaderRegistersThirdApp) {
   EXPECT_EQ(rack.paxos_migrator()->placement(), Placement::kNetwork);
   EXPECT_TRUE(rack.paxos_fpga()->app_active());
   EXPECT_GT(rack.paxos_fpga()->processed_in_hardware(), 0u);
+}
+
+// Heartbeats to the mixed rack's FPGAs ride their member links, as in a row
+// rack: a flapped kvs-10ge makes LaKe unreachable, not dead.
+TEST(MixedRackScenarioTest, LinkFlapIsSuppressedNotAFailure) {
+  Simulation sim(/*seed=*/7);
+  MixedRackOptions options;
+  options.enable_paxos = false;
+  options.orchestrator.heartbeat_period = Milliseconds(2);
+  options.orchestrator.failure_threshold = 2;
+  options.faults.events = {
+      {FaultKind::kLinkDown, Milliseconds(20), "kvs-10ge"},
+      {FaultKind::kLinkUp, Milliseconds(40), "kvs-10ge"},
+  };
+  MixedRackScenario rack(sim, options);
+  rack.orchestrator().Start();
+  rack.orchestrator().ForcePlacement(rack.kvs_app_index(), 0);  // LaKe.
+  sim.RunUntil(Milliseconds(60));
+
+  uint64_t flaps = 0;
+  uint64_t failures = 0;
+  for (const RackDecisionRecord& record : rack.orchestrator().decision_log()) {
+    flaps += record.kind == RackDecisionRecord::Kind::kFlapSuppressed ? 1 : 0;
+    failures += record.kind == RackDecisionRecord::Kind::kFailure ? 1 : 0;
+  }
+  EXPECT_EQ(flaps, 1u);
+  EXPECT_EQ(failures, 0u);
+  ASSERT_NE(rack.orchestrator().current_option(rack.kvs_app_index()), nullptr);
+  EXPECT_EQ(rack.orchestrator().current_option(rack.kvs_app_index())->target,
+            &rack.kvs_fpga());
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "src/row/row_scenario.h"
 #include "src/row/row_spec.h"
 #include "src/scenarios/multi_rack.h"
+#include "src/scenarios/paxos_testbed.h"
 #include "src/sim/sharded.h"
 
 namespace incod {
@@ -373,6 +374,64 @@ TEST(RowScenarioTest, ValidatesSpec) {
     spec.faults.events.push_back(event);
     EXPECT_THROW(RowScenario(ssim, std::move(spec)), std::invalid_argument);
   }
+  {
+    // A forwarded rack PSU brownout: no rack handler would apply it (the
+    // row's kRackBrownout steps a rack's budget).
+    ShardedSimulation ssim(RowShardOptions(2, 1));
+    RowSpec spec = OrchestratedRowSpec(2, 100);
+    RowFaultEventSpec event;
+    event.kind = RowFaultEventSpec::Kind::kRackFault;
+    event.at = Milliseconds(1);
+    event.rack_event.kind = FaultKind::kPsuBrownout;
+    event.rack_event.power_cap_watts = 20;
+    spec.faults.events.push_back(event);
+    EXPECT_THROW(RowScenario(ssim, std::move(spec)), std::invalid_argument);
+  }
+}
+
+// A Paxos leader member of a row shifts through the §9.2 leader election:
+// the P4xos leader takes a higher ballot and the software leader stands
+// down.
+TEST(RowScenarioTest, OrchestratesAPaxosLeaderMember) {
+  ShardedSimulation ssim(RowShardOptions(1, 1));
+  PaxosTestbedOptions paxos;
+  paxos.deployment = PaxosDeployment::kP4xosFpga;
+  paxos.dual_leader = true;
+  RowSpec spec;
+  RowRackSpec& rack = spec.racks.emplace_back();
+  rack.scenario = MakePaxosGroupSpec(paxos);
+  rack.orchestrate = true;
+  rack.apps.push_back(RowAppSpec{.member = 0});
+  RowScenario row(ssim, std::move(spec));
+
+  ASSERT_NE(dynamic_cast<PaxosLeaderMigrator*>(&row.migrator(0, 0)), nullptr);
+  SoftwareLeader* software = row.rack(0).member_host_app_as<SoftwareLeader>(0);
+  P4xosFpgaApp* hardware = row.rack(0).member_offload_app_as<P4xosFpgaApp>(0);
+  ASSERT_NE(software, nullptr);
+  ASSERT_NE(hardware, nullptr);
+  EXPECT_TRUE(software->active());
+  const uint16_t software_ballot = software->state().ballot();
+
+  row.rack_orchestrator(0)->ForcePlacement(row.orchestrator_index(0, 0), 0);
+  EXPECT_GT(hardware->leader()->ballot(), software_ballot);
+  EXPECT_FALSE(software->active());
+}
+
+// A member without an FPGA is orchestrated onto its ToR program alone.
+TEST(RowScenarioTest, OrchestratesAToROnlyMember) {
+  ShardedSimulation ssim(RowShardOptions(1, 1));
+  RowSpec spec = MakeMultiRackRowSpec(MultiRackOptions{.num_racks = 1});
+  RowRackSpec& rack = spec.racks[0];
+  rack.scenario.tor.asic = true;
+  rack.scenario.members[1].switch_app = "dns";  // The DNS member: no FPGA.
+  rack.orchestrate = true;
+  rack.apps.push_back(RowAppSpec{.member = 1, .switch_option = true});
+  RowScenario row(ssim, std::move(spec));
+
+  ScenarioMember& dns = row.rack(0).member(1);
+  EXPECT_EQ(&row.migrator(0, 0).target(), dns.switch_target.get());
+  row.rack_orchestrator(0)->ForcePlacement(row.orchestrator_index(0, 0), 0);
+  EXPECT_TRUE(dns.switch_target->app_active());
 }
 
 TEST(RowScenarioTest, BuildsOrchestratedRow) {

@@ -702,6 +702,9 @@ TEST(ScenarioSpecTest, MalformedSpecsThrowInvalidArgument) {
   struct Case {
     const char* name;
     std::function<ScenarioSpec()> make;
+    // The spec builds, and handing member 0 to an orchestrator throws.
+    bool orchestrate = false;
+    bool switch_option = false;
   };
   const std::vector<Case> cases = {
       {"hostless chain without an FPGA",
@@ -804,6 +807,30 @@ TEST(ScenarioSpecTest, MalformedSpecsThrowInvalidArgument) {
          spec.workload.kind = ScenarioWorkloadSpec::Kind::kKvUniformGets;
          return spec;
        }},
+      {"orchestrated member without a host app",
+       [] {
+         ScenarioSpec spec = TorSpec(false);
+         spec.members[0].host.apps.clear();
+         return spec;
+       },
+       /*orchestrate=*/true},
+      {"orchestrated member without a placement",
+       [] {
+         ScenarioSpec spec = TorSpec(false);
+         spec.members[0].target.app.clear();
+         return spec;
+       },
+       /*orchestrate=*/true},
+      {"orchestrated switch option without a switch app",
+       [] { return TorSpec(true); }, /*orchestrate=*/true, /*switch_option=*/true},
+  };
+  const auto orchestrate = [](ScenarioTestbed& testbed, bool switch_option) {
+    RackOrchestrator orchestrator(testbed.sim());
+    std::vector<std::unique_ptr<StateTransferMigrator>> migrators;
+    RackAppSpec app;
+    app.software_watts = [](double) { return 40.0; };
+    OrchestrateMember(testbed, 0, std::move(app), [](double) { return 45.0; },
+                      switch_option, orchestrator, migrators);
   };
   // The specs the cases start from are well formed: each throw below is the
   // one defect the case introduces.
@@ -815,9 +842,22 @@ TEST(ScenarioSpecTest, MalformedSpecsThrowInvalidArgument) {
     Simulation sim(1);
     EXPECT_NO_THROW(ScenarioTestbed(sim, TorSpec(asic))) << "asic " << asic;
   }
+  {
+    Simulation sim(1);
+    ScenarioSpec spec = TorSpec(true);
+    spec.members[0].switch_app = "kvs";
+    spec.members[0].env.service = 1;
+    ScenarioTestbed testbed(sim, spec);
+    EXPECT_NO_THROW(orchestrate(testbed, /*switch_option=*/true));
+  }
   for (const Case& c : cases) {
     Simulation sim(1);
-    EXPECT_THROW(ScenarioTestbed(sim, c.make()), std::invalid_argument) << c.name;
+    if (!c.orchestrate) {
+      EXPECT_THROW(ScenarioTestbed(sim, c.make()), std::invalid_argument) << c.name;
+      continue;
+    }
+    ScenarioTestbed testbed(sim, c.make());
+    EXPECT_THROW(orchestrate(testbed, c.switch_option), std::invalid_argument) << c.name;
   }
 }
 
