@@ -35,6 +35,27 @@ NetworkControllerConfig FastController() {
   return config;
 }
 
+// Lets the controller settle for 1 s, then measures a 200 ms window: wall
+// power, completions over the window, and the window's latency percentiles.
+template <typename CompletedFn>
+SweepPoint MeasureWindow(Simulation& sim, WallPowerMeter& meter, double rate_pps,
+                         CompletedFn completed, Histogram& latency) {
+  constexpr SimDuration kWindow = Milliseconds(200);
+  sim.RunUntil(Seconds(1));
+  const SimTime measure_start = sim.Now();
+  const uint64_t completed_before = completed();
+  latency.Reset();
+  sim.RunUntil(measure_start + kWindow);
+  SweepPoint point;
+  point.offered_pps = rate_pps;
+  point.achieved_pps =
+      static_cast<double>(completed() - completed_before) / ToSeconds(kWindow);
+  point.watts = meter.MeanWatts(measure_start, sim.Now());
+  point.p50_us = ToMicroseconds(static_cast<SimDuration>(latency.P50()));
+  point.p99_us = ToMicroseconds(static_cast<SimDuration>(latency.P99()));
+  return point;
+}
+
 RequestFactory GetFactory(NodeId service, uint64_t keys) {
   return [service, keys](NodeId src, uint64_t id, SimTime now, Rng& rng) {
     const uint64_t key =
@@ -62,14 +83,8 @@ SweepPoint MeasureKvs(double rate_pps, bool on_demand) {
     controller->Start();
   }
   client.Start();
-  // Let the controller settle, then measure.
-  sim.RunUntil(Seconds(1));
-  const SimTime measure_start = sim.Now();
-  sim.RunUntil(measure_start + Milliseconds(200));
-  SweepPoint point;
-  point.offered_pps = rate_pps;
-  point.watts = testbed.meter().MeanWatts(measure_start, sim.Now());
-  return point;
+  return MeasureWindow(sim, testbed.meter(), rate_pps,
+                       [&client] { return client.received(); }, client.mutable_latency());
 }
 
 SweepPoint MeasureDns(double rate_pps, bool on_demand) {
@@ -93,13 +108,8 @@ SweepPoint MeasureDns(double rate_pps, bool on_demand) {
     controller->Start();
   }
   client.Start();
-  sim.RunUntil(Seconds(1));
-  const SimTime measure_start = sim.Now();
-  sim.RunUntil(measure_start + Milliseconds(200));
-  SweepPoint point;
-  point.offered_pps = rate_pps;
-  point.watts = testbed.meter().MeanWatts(measure_start, sim.Now());
-  return point;
+  return MeasureWindow(sim, testbed.meter(), rate_pps,
+                       [&client] { return client.received(); }, client.mutable_latency());
 }
 
 SweepPoint MeasurePaxos(double rate_pps, bool on_demand) {
@@ -125,14 +135,10 @@ SweepPoint MeasurePaxos(double rate_pps, bool on_demand) {
                                                      FastController());
     controller->Start();
   }
-  testbed.client().Start();
-  sim.RunUntil(Seconds(1));
-  const SimTime measure_start = sim.Now();
-  sim.RunUntil(measure_start + Milliseconds(200));
-  SweepPoint point;
-  point.offered_pps = rate_pps;
-  point.watts = testbed.meter().MeanWatts(measure_start, sim.Now());
-  return point;
+  PaxosClient& client = testbed.client();
+  client.Start();
+  return MeasureWindow(sim, testbed.meter(), rate_pps,
+                       [&client] { return client.completed(); }, client.mutable_latency());
 }
 
 }  // namespace

@@ -168,9 +168,8 @@ AppRegistry& AppRegistry::Global() {
                 [](PlacementKind placement, const AppFactoryEnv& env)
                     -> std::unique_ptr<App> {
                   (void)placement;
-                  return std::make_unique<SoftwareLearner>(
-                      RequireGroup(env), env.paxos_software,
-                      env.paxos_learner_gap_timeout);
+                  return std::make_unique<SoftwareLearner>(RequireGroup(env),
+                                                           env.paxos_software);
                 });
     return r;
   }();

@@ -51,7 +51,6 @@ struct AppFactoryEnv {
   DnsSwitchConfig switch_dns{};
   PaxosSoftwareConfig paxos_software{};
   P4xosFpgaConfig p4xos{};
-  SimDuration paxos_learner_gap_timeout = Milliseconds(50);
 
   AppFactoryEnv() { paxos_software = LibpaxosConfig(); }
 };

@@ -20,7 +20,6 @@
 // Power modeling.
 #include "src/power/cpu_power.h"
 #include "src/power/curve.h"
-#include "src/power/energy_model.h"
 #include "src/power/ledger.h"
 #include "src/power/meter.h"
 #include "src/power/power_source.h"
@@ -74,7 +73,6 @@
 // On-demand computing (the paper's contribution).
 #include "src/ondemand/controller.h"
 #include "src/ondemand/energy_advisor.h"
-#include "src/ondemand/energy_controller.h"
 #include "src/ondemand/migrator.h"
 #include "src/ondemand/rack.h"
 

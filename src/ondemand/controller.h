@@ -16,7 +16,10 @@
 //
 // Both controllers read their device signals through the OffloadTarget
 // interface, so the same decision code runs against an FPGA NIC, a
-// SmartNIC, or a switch ASIC program.
+// SmartNIC, or a switch ASIC program. They are deliberately the paper's
+// naive threshold pair; the model-driven enhancement §9.1 anticipates —
+// predict both placements' power with the §8 curves and shift on a saving
+// margin — is RackOrchestrator (rack.h), which runs it for one app or many.
 #ifndef INCOD_SRC_ONDEMAND_CONTROLLER_H_
 #define INCOD_SRC_ONDEMAND_CONTROLLER_H_
 
@@ -32,19 +35,6 @@
 
 namespace incod {
 
-class OffloadController {
- public:
-  virtual ~OffloadController() = default;
-
-  virtual void Start() = 0;
-  virtual void Stop() { stopped_ = true; }
-
- protected:
-  bool stopped_ = false;
-};
-
-// ---------------------------------------------------------------------------
-
 struct NetworkControllerConfig {
   // Shift host -> network when the average app message rate over
   // `up_window` is at least `up_rate_pps`.
@@ -59,12 +49,13 @@ struct NetworkControllerConfig {
   SimDuration min_dwell = Seconds(1);
 };
 
-class NetworkController : public OffloadController {
+class NetworkController {
  public:
   NetworkController(Simulation& sim, OffloadTarget& target, Migrator& migrator,
                     NetworkControllerConfig config = {});
 
-  void Start() override;
+  void Start();
+  void Stop() { stopped_ = true; }
 
   const NetworkControllerConfig& config() const { return config_; }
   uint64_t decisions_evaluated() const { return decisions_; }
@@ -82,6 +73,7 @@ class NetworkController : public OffloadController {
   SimTime last_tick_ = 0;
   SimTime last_shift_ = 0;
   bool started_ = false;
+  bool stopped_ = false;
   uint64_t decisions_ = 0;
 };
 
@@ -104,13 +96,14 @@ struct HostControllerConfig {
   SimDuration min_dwell = Seconds(1);
 };
 
-class HostController : public OffloadController {
+class HostController {
  public:
   HostController(Simulation& sim, Server& server, AppProto app, RaplCounter& rapl,
                  OffloadTarget& target, Migrator& migrator,
                  HostControllerConfig config = {});
 
-  void Start() override;
+  void Start();
+  void Stop() { stopped_ = true; }
 
   const HostControllerConfig& config() const { return config_; }
   // Most recent RAPL-derived power reading (for the Fig 6 timeline).
@@ -134,6 +127,7 @@ class HostController : public OffloadController {
   SimTime last_shift_ = 0;
   double last_rapl_watts_ = 0;
   bool started_ = false;
+  bool stopped_ = false;
 };
 
 }  // namespace incod

@@ -44,18 +44,39 @@ RatePowerFn MakeSwitchMarginalPower(double program_overhead_fraction,
   };
 }
 
-RatePowerFn MakeSmartNicRatePower(double host_idle_watts, double board_idle_watts,
-                                  double board_max_watts, double capacity_pps) {
-  // Same shape as the FPGA model with the dynamic term parameterized as the
-  // idle-to-max swing (how SmartNIC presets are specified, §10).
-  return MakeFpgaRatePower(host_idle_watts, board_idle_watts,
-                           board_max_watts - board_idle_watts, capacity_pps);
-}
-
 RatePowerFn MakeSmartNicRatePower(double host_idle_watts, const SmartNicPreset& preset,
                                   double app_mpps_fraction) {
-  return MakeSmartNicRatePower(host_idle_watts, preset.idle_watts, preset.max_watts,
-                               preset.peak_mpps * 1e6 * app_mpps_fraction);
+  // The FPGA shape with the dynamic term as the idle-to-max swing (how
+  // SmartNIC presets are specified, §10).
+  return MakeFpgaRatePower(host_idle_watts, preset.idle_watts,
+                           preset.max_watts - preset.idle_watts,
+                           preset.peak_mpps * 1e6 * app_mpps_fraction);
+}
+
+std::optional<double> TippingPointRate(const RatePowerFn& software_watts,
+                                       const RatePowerFn& network_watts, double lo,
+                                       double hi, double tolerance) {
+  if (lo > hi) {
+    throw std::invalid_argument("TippingPointRate: lo > hi");
+  }
+  auto diff = [&](double r) { return software_watts(r) - network_watts(r); };
+  if (diff(lo) >= 0) {
+    return lo;  // Network already wins at (or below) the low end.
+  }
+  if (diff(hi) < 0) {
+    return std::nullopt;  // Network never wins on this range.
+  }
+  double a = lo;
+  double b = hi;
+  while (b - a > tolerance) {
+    const double mid = 0.5 * (a + b);
+    if (diff(mid) >= 0) {
+      b = mid;
+    } else {
+      a = mid;
+    }
+  }
+  return b;
 }
 
 PlacementAdvice AdvisePlacement(const RatePowerFn& software, const RatePowerFn& network,

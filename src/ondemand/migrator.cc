@@ -151,8 +151,7 @@ PaxosLeaderMigrator::PaxosLeaderMigrator(Simulation& sim, L2Switch& sw,
                                          NodeId leader_service,
                                          SoftwareLeader& software_leader,
                                          int software_port, OffloadTarget& hardware_target,
-                                         P4xosFpgaApp& hardware_leader, int hardware_port,
-                                         Options options)
+                                         P4xosFpgaApp& hardware_leader, int hardware_port)
     : StateTransferMigrator(
           sim, hardware_target,
           // The FPGA leader keeps on-chip state only: no park knobs to apply
@@ -165,7 +164,6 @@ PaxosLeaderMigrator::PaxosLeaderMigrator(Simulation& sim, L2Switch& sw,
       software_port_(software_port),
       hardware_leader_(hardware_leader),
       hardware_port_(hardware_port),
-      leader_options_(options),
       ballot_(software_leader.state().ballot()) {
   // Initial placement: software leader serves the service address.
   RepointService(software_port_);
@@ -208,7 +206,7 @@ void PaxosLeaderMigrator::ShiftToNetwork() {
   if (!transfer_state()) {
     // §9.2: the incoming leader learns the latest instance from the
     // acceptors before proposing (client requests are buffered meanwhile).
-    hardware_leader_.BeginSequenceLearning(leader_options_.active_probe);
+    hardware_leader_.BeginSequenceLearning();
     ArmLearningTimeout(Placement::kNetwork);
   }
 }
@@ -217,7 +215,7 @@ void PaxosLeaderMigrator::ArmLearningTimeout(Placement for_placement) {
   // Passive learning (the paper's mode) must not deadlock: after the
   // timeout, release buffered proposals; acceptor hints and client retries
   // then teach the sequence (§9.2, Fig 7's ~100 ms gap).
-  sim().Schedule(leader_options_.learning_timeout, [this, for_placement] {
+  sim().Schedule(kLearningTimeout, [this, for_placement] {
     if (placement() != for_placement) {
       return;  // Another shift happened meanwhile.
     }
@@ -247,7 +245,7 @@ void PaxosLeaderMigrator::AbandonToHost() {
   StateTransferMigrator::AbandonToHost();
   software_leader_.SetActive(true);
   RepointService(software_port_);
-  software_leader_.BeginSequenceLearning(leader_options_.active_probe);
+  software_leader_.BeginSequenceLearning();
   ArmLearningTimeout(Placement::kHost);
 }
 
@@ -263,7 +261,7 @@ void PaxosLeaderMigrator::ShiftToHost() {
   software_leader_.SetActive(true);
   RepointService(software_port_);
   if (!transfer_state()) {
-    software_leader_.BeginSequenceLearning(leader_options_.active_probe);
+    software_leader_.BeginSequenceLearning();
     ArmLearningTimeout(Placement::kHost);
   }
 }

@@ -167,25 +167,15 @@ class StateTransferMigrator : public Migrator {
 //     typed snapshot, so the incoming leader continues without a gap.
 class PaxosLeaderMigrator : public StateTransferMigrator {
  public:
-  struct Options {
-    // false (the paper's behaviour): the incoming leader waits passively
-    // for sequence hints; proposals are released after `learning_timeout`,
-    // and client retries drive recovery — producing Fig 7's ~100 ms gap.
-    // true: an active phase-1 probe learns the sequence in one round trip.
-    bool active_probe = false;
-    SimDuration learning_timeout = Milliseconds(100);
-  };
+  // The paper's sequence learning: the incoming leader waits passively for
+  // sequence hints (no phase-1 probe); buffered proposals are released after
+  // this timeout, and client retries drive recovery — Fig 7's ~100 ms gap.
+  static constexpr SimDuration kLearningTimeout = Milliseconds(100);
 
   PaxosLeaderMigrator(Simulation& sim, L2Switch& sw, NodeId leader_service,
                       SoftwareLeader& software_leader, int software_port,
                       OffloadTarget& hardware_target, P4xosFpgaApp& hardware_leader,
-                      int hardware_port, Options options);
-  PaxosLeaderMigrator(Simulation& sim, L2Switch& sw, NodeId leader_service,
-                      SoftwareLeader& software_leader, int software_port,
-                      OffloadTarget& hardware_target, P4xosFpgaApp& hardware_leader,
-                      int hardware_port)
-      : PaxosLeaderMigrator(sim, sw, leader_service, software_leader, software_port,
-                            hardware_target, hardware_leader, hardware_port, Options{}) {}
+                      int hardware_port);
 
   void ShiftToNetwork() override;
   void ShiftToHost() override;
@@ -195,7 +185,6 @@ class PaxosLeaderMigrator : public StateTransferMigrator {
   void AbandonToHost() override;
 
   uint16_t current_ballot() const { return ballot_; }
-  const Options& leader_options() const { return leader_options_; }
 
  protected:
   void MutateStateForTransfer(AppState& state, Placement to) override;
@@ -210,7 +199,6 @@ class PaxosLeaderMigrator : public StateTransferMigrator {
   int software_port_;
   P4xosFpgaApp& hardware_leader_;
   int hardware_port_;
-  Options leader_options_;
   uint16_t ballot_;
 };
 

@@ -5,6 +5,13 @@
 #include <utility>
 
 namespace incod {
+namespace {
+
+// Predicted-watts penalty for choosing a reprogram-parked target, so warm
+// targets win ties (§9.2's halt trade-off).
+constexpr double kReprogramPenaltyWatts = 1.0;
+
+}  // namespace
 
 RackPowerLedger::RackPowerLedger(double budget_watts) : budget_(budget_watts) {}
 
@@ -232,8 +239,7 @@ double RackOrchestrator::PredictOptionWatts(const RackPlacementOption& option,
   double watts = option.network_watts(rate);
   if (option.migrator->options().policy == ParkPolicy::kReprogram &&
       option.target->Traits().supports_reprogramming) {
-    // Bias against halt-incurring placements so warm targets win ties.
-    watts += config_.reprogram_penalty_watts;
+    watts += kReprogramPenaltyWatts;
   }
   return watts;
 }

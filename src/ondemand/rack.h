@@ -64,8 +64,8 @@ class RackPowerLedger {
 // shift goes through the generic StateTransferMigrator core (classifier
 // flip + park policy + optional typed-state transfer), so the orchestrator
 // can move any registered app warm or cold without per-app plumbing. The
-// migrator's park policy prices the option: kReprogram placements pay the
-// configured penalty so warm targets win ties (§9.2's halt trade-off).
+// migrator's park policy prices the option: kReprogram placements pay a
+// fixed 1 W penalty so warm targets win ties (§9.2's halt trade-off).
 struct RackPlacementOption {
   OffloadTarget* target = nullptr;
   StateTransferMigrator* migrator = nullptr;
@@ -128,11 +128,9 @@ struct RackDecisionRecord {
 struct RackOrchestratorConfig {
   // Shared offload power budget (<= 0: unlimited).
   double power_budget_watts = 0;
-  // Shift only when the predicted saving exceeds this margin (hysteresis
-  // falls out of applying it in both directions, like EnergyAwareController).
+  // Shift only when the predicted §8 saving exceeds this margin; applying
+  // it in both directions is the loop's hysteresis.
   double min_saving_watts = 2.0;
-  // Predicted-watts penalty for choosing a reprogram-parked target.
-  double reprogram_penalty_watts = 1.0;
   // Per-app damping.
   SimDuration check_period = Milliseconds(100);
   SimDuration min_dwell = Seconds(1);

@@ -93,15 +93,6 @@ PiecewiseLinearCurve XeonE52660SyntheticCurve() {
   });
 }
 
-PiecewiseLinearCurve XeonE52637IdleCurve() {
-  // §5.4: idle 83 W without a NIC; 4 cores.
-  return PiecewiseLinearCurve({
-      {0.0, 83.0},
-      {1.0, 105.0},
-      {4.0, 160.0},
-  });
-}
-
 CpuPowerModel MakeI7Server(const std::string& name, PiecewiseLinearCurve curve) {
   return CpuPowerModel(name, 4, std::move(curve));
 }

@@ -61,9 +61,6 @@ PiecewiseLinearCurve I7SyntheticCurve();
 // 91 W, +1..2 W per extra core, 134 W all-cores, 86 W at 10 % of one core.
 PiecewiseLinearCurve XeonE52660SyntheticCurve();
 
-// Single-socket Xeon E5-2637 v4 (§5.4): idle 83 W without a NIC.
-PiecewiseLinearCurve XeonE52637IdleCurve();
-
 // Factory helpers.
 CpuPowerModel MakeI7Server(const std::string& name, PiecewiseLinearCurve curve);
 CpuPowerModel MakeXeonE52660Server(const std::string& name);

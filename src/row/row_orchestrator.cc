@@ -7,6 +7,12 @@
 #include <utility>
 
 namespace incod {
+namespace {
+
+// Re-issue a rack's cap only when it moved by more than this.
+constexpr double kCapEpsilonWatts = 0.5;
+
+}  // namespace
 
 RowPowerLedger::RowPowerLedger(double budget_watts) : budget_(budget_watts) {}
 
@@ -262,7 +268,7 @@ void RowOrchestrator::Reapportion() {
       }
       // Quiet small moves: the ledger stays exact, the rack keeps its cap.
       if (rack.issued_watts >= 0 &&
-          std::abs(share - rack.issued_watts) <= config_.cap_epsilon_watts) {
+          std::abs(share - rack.issued_watts) <= kCapEpsilonWatts) {
         continue;
       }
       IssueCap(rack, share, /*initial=*/false);

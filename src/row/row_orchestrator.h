@@ -94,8 +94,6 @@ struct RowOrchestratorConfig {
   // Per-rack floor under demand weighting (0: none). Floors are scaled down
   // proportionally when they alone would exceed the budget.
   double min_rack_watts = 0;
-  // Re-issue a rack's cap only when it moved by more than this.
-  double cap_epsilon_watts = 0.5;
 };
 
 // Pure apportionment kernel, exposed for the property suite. Waterfills

@@ -228,16 +228,7 @@ void RowScenario::BuildRow() {
   if (spec_.power.global_budget_watts <= 0) {
     return;
   }
-  RowOrchestratorConfig config;
-  config.global_budget_watts = spec_.power.global_budget_watts;
-  config.policy = spec_.power.policy == RowPowerSpec::Policy::kEqualShare
-                      ? RowOrchestratorConfig::Policy::kEqualShare
-                      : RowOrchestratorConfig::Policy::kDemandWeighted;
-  config.report_period = spec_.power.report_period;
-  config.apportion_period = spec_.power.apportion_period;
-  config.sample_period = spec_.power.sample_period;
-  config.min_rack_watts = spec_.power.min_rack_watts;
-  row_ = std::make_unique<RowOrchestrator>(sharded_, spine_shard(), config);
+  row_ = std::make_unique<RowOrchestrator>(sharded_, spine_shard(), spec_.power);
   for (int r = 0; r < num_racks(); ++r) {
     BuiltRack& built = racks_[static_cast<size_t>(r)];
     if (built.orchestrator == nullptr) {
@@ -301,9 +292,7 @@ void RowScenario::ScheduleTracePlayback() {
   // Phase-shift each rack through the diurnal day so racks peak at
   // staggered times — the load imbalance the demand-weighted global
   // apportionment exists to exploit.
-  const int64_t shift_step = spec_.trace.phase_shift_seconds >= 0
-                                 ? spec_.trace.phase_shift_seconds
-                                 : horizon / num_racks();
+  const int64_t shift_step = horizon / num_racks();
   for (int r = 0; r < num_racks(); ++r) {
     BuiltRack& built = racks_[static_cast<size_t>(r)];
     if (built.apps.empty()) {

@@ -19,6 +19,7 @@
 
 #include "src/fault/fault_injector.h"
 #include "src/ondemand/rack.h"
+#include "src/row/row_orchestrator.h"
 #include "src/scenarios/scenario_spec.h"
 #include "src/workload/google_trace.h"
 
@@ -62,21 +63,6 @@ struct RowRackSpec {
   std::vector<RowAppSpec> apps;
 };
 
-// Global power apportionment policy (row_orchestrator.h executes it).
-struct RowPowerSpec {
-  enum class Policy { kEqualShare, kDemandWeighted };
-  // <= 0: no row power orchestration (racks keep their own budgets).
-  double global_budget_watts = 0;
-  Policy policy = Policy::kDemandWeighted;
-  // Racks post usage/demand reports to the row at this cadence...
-  SimDuration report_period = Milliseconds(50);
-  // ...and the row re-apportions (and issues ApplyPowerCap deltas) at this.
-  SimDuration apportion_period = Milliseconds(100);
-  SimDuration sample_period = Milliseconds(100);
-  // Per-rack floor under demand weighting (0: none).
-  double min_rack_watts = 0;
-};
-
 // Diurnal Google-trace load: one synthesized trace, phase-shifted per rack,
 // whose per-node task timeline modulates member hosts' background draw.
 struct RowTraceSpec {
@@ -86,10 +72,9 @@ struct RowTraceSpec {
   // The trace horizon is compressed onto this much simulated time.
   SimDuration sim_horizon = Seconds(10);
   uint64_t seed = 42;
-  // Per-rack shift through the diurnal day, in trace seconds (< 0:
-  // horizon_seconds / num_racks — racks peak at staggered times, which is
-  // what makes a *global* budget worth apportioning).
-  int64_t phase_shift_seconds = -1;
+  // Each rack is shifted horizon_seconds / num_racks further through the
+  // diurnal day, so racks peak at staggered times — what makes a *global*
+  // budget worth apportioning.
 };
 
 // One row-scale fault event. Rack-scoped kinds fan out over `racks`
@@ -153,7 +138,9 @@ struct RowSpec {
   double uplink_gigabits_per_second = 40.0;
   // One synthetic zone shared by every rack whose spec leaves env.zone null.
   size_t zone_size = 2000;
-  RowPowerSpec power;
+  // Global power apportionment (<= 0 global_budget_watts: no row power
+  // orchestration; racks keep their own budgets).
+  RowOrchestratorConfig power;
   RowTraceSpec trace;
   RowFaultPlanSpec faults;
 };

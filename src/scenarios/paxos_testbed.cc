@@ -169,7 +169,7 @@ ScenarioMemberSpec MakeAcceptorMember(const PaxosTestbedOptions& options, int i)
   throw std::logic_error("PaxosTestbed: unknown deployment");
 }
 
-ScenarioMemberSpec MakeLearnerMember(const PaxosTestbedOptions& options) {
+ScenarioMemberSpec MakeLearnerMember() {
   ScenarioMemberSpec member;
   member.name = "learner";
   member.aux = true;
@@ -179,25 +179,10 @@ ScenarioMemberSpec MakeLearnerMember(const PaxosTestbedOptions& options) {
   member.host.config.node = kPaxosLearnerNode;
   member.host.apps = {"paxos-learner"};
   member.env = RoleEnv(0, PaxosSoftwareConfig{Nanoseconds(100), 8});
-  member.env.paxos_learner_gap_timeout = options.learner_gap_timeout;
   return member;
 }
 
 }  // namespace
-
-const char* PaxosDeploymentName(PaxosDeployment deployment) {
-  switch (deployment) {
-    case PaxosDeployment::kLibpaxos:
-      return "libpaxos";
-    case PaxosDeployment::kDpdk:
-      return "dpdk";
-    case PaxosDeployment::kP4xosFpga:
-      return "p4xos-fpga";
-    case PaxosDeployment::kP4xosStandalone:
-      return "p4xos-standalone";
-  }
-  return "?";
-}
 
 ScenarioSpec MakePaxosGroupSpec(const PaxosTestbedOptions& options) {
   if (options.num_acceptors < 1) {
@@ -224,7 +209,7 @@ ScenarioSpec MakePaxosGroupSpec(const PaxosTestbedOptions& options) {
   for (int i = 0; i < options.num_acceptors; ++i) {
     spec.members.push_back(MakeAcceptorMember(options, i));
   }
-  spec.members.push_back(MakeLearnerMember(options));
+  spec.members.push_back(MakeLearnerMember());
   return spec;
 }
 

@@ -31,8 +31,6 @@ namespace incod {
 enum class PaxosDeployment { kLibpaxos, kDpdk, kP4xosFpga, kP4xosStandalone };
 enum class PaxosSut { kLeader, kAcceptor };
 
-const char* PaxosDeploymentName(PaxosDeployment deployment);
-
 // Testbed addresses.
 constexpr NodeId kPaxosClientNode = 100;
 constexpr NodeId kPaxosLeaderService = 200;
@@ -49,7 +47,6 @@ struct PaxosTestbedOptions {
   bool dual_leader = false;  // Fig 7: SW + HW leader on one host/NIC pair.
   PaxosClientConfig client;
   SimDuration meter_period = Milliseconds(1);
-  SimDuration learner_gap_timeout = Milliseconds(50);
 };
 
 // The declarative spec the testbed wires: one member per role deployment

@@ -158,7 +158,7 @@ TEST(SmartNicTest, AdvisorModelMatchesDeviceEnvelope) {
   // idle at rate 0, max at capacity, linear between.
   const SmartNicPreset preset = AccelNetPreset();
   const double capacity = preset.peak_mpps * 1e6;
-  auto fn = MakeSmartNicRatePower(0.0, preset.idle_watts, preset.max_watts, capacity);
+  auto fn = MakeSmartNicRatePower(0.0, preset);
   EXPECT_DOUBLE_EQ(fn(0), preset.idle_watts);
   EXPECT_DOUBLE_EQ(fn(capacity), preset.max_watts);
   EXPECT_DOUBLE_EQ(fn(capacity / 2),

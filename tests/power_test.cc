@@ -1,10 +1,10 @@
 // Tests for the power models: curves, CPU presets, module ledger, PSU,
-// meters, and the §8 energy model.
+// meters, and the §8 tipping-point search.
 #include <gtest/gtest.h>
 
+#include "src/ondemand/energy_advisor.h"
 #include "src/power/cpu_power.h"
 #include "src/power/curve.h"
-#include "src/power/energy_model.h"
 #include "src/power/ledger.h"
 #include "src/power/meter.h"
 #include "src/power/psu.h"
@@ -224,24 +224,6 @@ TEST(RaplTest, AverageWattsSince) {
   EXPECT_DOUBLE_EQ(rapl.AverageWattsSince(0, 0), 0.0);
 }
 
-TEST(EnergyModelTest, Eq1Composition) {
-  EnergyProfile profile;
-  profile.idle_watts = 10.0;
-  profile.dynamic_watts = [](double rate) { return rate / 1000.0; };
-  profile.sleep_watts = 5.0;
-  profile.sleep_seconds = 2.0;
-  // 1000 packets at 100 pps -> Td = 10 s at Pd = 10 + 0.1 = 10.1 W; plus
-  // sleep 10 J; plus 3 s idle at 10 W.
-  const double energy = EnergyJoules(profile, 1000, 100, 3.0);
-  EXPECT_NEAR(energy, 10.1 * 10 + 10 + 30, 1e-9);
-}
-
-TEST(EnergyModelTest, RejectsZeroRateWithWork) {
-  EnergyProfile profile;
-  profile.dynamic_watts = [](double) { return 0.0; };
-  EXPECT_THROW(EnergyJoules(profile, 10, 0, 0), std::invalid_argument);
-}
-
 TEST(EnergyModelTest, TippingPointFound) {
   // Software: 35 + 0.0001 * R ; network: 47 flat -> tip at R = 120000.
   auto software = [](double r) { return 35.0 + 1e-4 * r; };
@@ -266,18 +248,6 @@ TEST(EnergyModelTest, TippingPointAtZeroWhenNetworkAlwaysWins) {
   const auto tip = TippingPointRate(software, network, 0, 1e6);
   ASSERT_TRUE(tip.has_value());
   EXPECT_DOUBLE_EQ(*tip, 0.0);
-}
-
-TEST(EnergyModelTest, ProfileOverloadComparesTotalPower) {
-  EnergyProfile software;
-  software.idle_watts = 35;
-  software.dynamic_watts = [](double r) { return r * 1e-4; };
-  EnergyProfile network;
-  network.idle_watts = 47;
-  network.dynamic_watts = [](double) { return 0.5; };
-  const auto tip = TippingPointRate(software, network, 0, 1e6, 1.0);
-  ASSERT_TRUE(tip.has_value());
-  EXPECT_NEAR(*tip, 125000.0, 10.0);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 #include "src/ondemand/rack.h"
 #include "src/power/cpu_power.h"
 #include "src/row/row_scenario.h"
+#include "src/scenarios/kvs_testbed.h"
 #include "src/scenarios/paxos_testbed.h"
 #include "src/scenarios/rack_scenario.h"
 #include "src/scenarios/scenario_spec.h"
@@ -231,6 +232,69 @@ TEST(RackOrchestratorTest, ReturnsHomeWhenNetworkStopsPaying) {
   EXPECT_FALSE(target.app_active());
   EXPECT_DOUBLE_EQ(orchestrator.ledger().committed_watts(), 0.0);
   EXPECT_EQ(orchestrator.total_shifts(), 2u);
+}
+
+// §9.1's model-driven enhancement on a real LaKe testbed: the orchestrator
+// prices both placements with the paper's curves at the classifier-visible
+// rate and shifts on the §8 saving margin, in both directions.
+TEST(RackOrchestratorTest, PaperCurvesPlaceLakeByOfferedRate) {
+  struct Case {
+    const char* name;
+    double rate_pps;
+    SimTime stop_at;  // Client stops sending here.
+    bool offloaded_at_1s;
+    bool offloaded_at_3s;
+  };
+  const Case cases[] = {
+      // Software would draw ~85 W against LaKe's ~59 W: shift and stay.
+      {"high-rate", 400000, Seconds(3), true, true},
+      // Far below the ~86 kpps tipping point: software stays cheaper.
+      {"low-rate", 20000, Seconds(3), false, false},
+      // Silence after 1 s: software is cheaper at ~0 rate, so shift back.
+      {"load-drops", 400000, Seconds(1), true, false},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    Simulation sim(/*seed=*/1);
+    KvsTestbedOptions options;
+    options.lake_initially_active = false;
+    KvsTestbed testbed(sim, options);
+    testbed.Prefill(1000, 64);
+    const NodeId service = testbed.ServiceNode();
+    LoadClient& client = testbed.AddClient(
+        LoadClientConfig{}, std::make_unique<ConstantArrival>(c.rate_pps),
+        [service](NodeId src, uint64_t id, SimTime now, Rng& rng) {
+          const auto key = static_cast<uint64_t>(rng.UniformInt(0, 999));
+          return MakeKvRequestPacket(src, service, KvRequest{KvOp::kGet, key, 0},
+                                     id, now);
+        });
+    client.StopAt(c.stop_at);
+    FpgaNic& fpga = *testbed.fpga();
+    StateTransferMigrator migrator(sim, fpga);
+
+    RackAppSpec spec;
+    spec.name = "kvs";
+    spec.software_watts = [](double r) {
+      return MakeServerRatePower(I7MemcachedCurve(), Microseconds(4), 4)(r) + 4.0;
+    };
+    spec.measured_rate_pps = [&fpga] { return fpga.AppIngressRatePerSecond(); };
+    spec.options.push_back(RackPlacementOption{
+        &fpga, &migrator, MakeFpgaRatePower(35.0, 24.0, 1.0, 13e6)});
+    RackOrchestratorConfig config;
+    config.min_dwell = Milliseconds(100);
+    RackOrchestrator orchestrator(sim, config);
+    const size_t app = orchestrator.AddApp(std::move(spec));
+    orchestrator.Start();
+    client.Start();
+
+    sim.RunUntil(Seconds(1));
+    EXPECT_EQ(orchestrator.current_option(app) != nullptr, c.offloaded_at_1s);
+    EXPECT_EQ(migrator.placement() == Placement::kNetwork, c.offloaded_at_1s);
+    sim.RunUntil(Seconds(3));
+    EXPECT_EQ(orchestrator.current_option(app) != nullptr, c.offloaded_at_3s);
+    EXPECT_EQ(migrator.placement() == Placement::kNetwork, c.offloaded_at_3s);
+    EXPECT_EQ(fpga.app_active(), c.offloaded_at_3s);
+  }
 }
 
 TEST(RackOrchestratorTest, RejectsIncompleteSpecs) {

@@ -464,7 +464,7 @@ TEST(RowScenarioTest, DiurnalTracePhaseShiftsAcrossRacks) {
   EXPECT_EQ(row.trace_tasks().size(), 2000u);
   row.Start();
   // Mid-day: rack 0 sits at its diurnal peak, rack 1 is half a day shifted
-  // (phase_shift defaults to horizon / num_racks) so the racks are loaded
+  // (each rack shifts horizon / num_racks) so the racks are loaded
   // differently — the imbalance the demand-weighted apportionment feeds on.
   ssim.RunUntil(Milliseconds(10));
   EXPECT_GT(row.background_cores(0, 0), 0.0);
@@ -593,7 +593,7 @@ TEST_P(RowLedgerPropertyTest, GlobalLedgerInvariantsHold) {
     EXPECT_NEAR(rack.ledger().budget_watts(),
                 std::max(orch.CurrentApportionment(static_cast<size_t>(r)), 0.01),
                 0.5 + 1e-9)
-        << "rack " << r << " seed " << seed;  // cap_epsilon_watts slack.
+        << "rack " << r << " seed " << seed;  // The row's 0.5 W cap-reissue slack.
     EXPECT_LE(rack.ledger().committed_watts(),
               rack.ledger().budget_watts() + 1e-6)
         << "rack " << r << " seed " << seed;

@@ -1,6 +1,5 @@
 // Tests for the in-switch applications (NetCache-style KVS, switch DNS,
-// P4xos on the ASIC), the §9.2 park policies, and the energy-aware
-// controller extension.
+// P4xos on the ASIC) and the §9.2 park policies.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -13,11 +12,9 @@
 #include "src/kvs/memcached_server.h"
 #include "src/kvs/netcache.h"
 #include "src/net/topology.h"
-#include "src/ondemand/energy_controller.h"
 #include "src/ondemand/migrator.h"
 #include "src/paxos/p4xos.h"
 #include "src/paxos/roles.h"
-#include "src/power/cpu_power.h"
 #include "src/sim/simulation.h"
 #include "src/stats/count_min.h"
 
@@ -402,94 +399,6 @@ TEST(ParkPolicyTest, ReprogramHaltsTraffic) {
   h.sim.RunUntil(Milliseconds(50));
   EXPECT_FALSE(h.fpga.reprogramming());
   EXPECT_TRUE(h.fpga.app_active());
-}
-
-// ---- Energy-aware controller ----
-
-struct EnergyControllerHarness {
-  EnergyControllerHarness() : sim(1), fpga(sim, ParkHarness::Config()) {
-    fpga.InstallApp(&lake);
-  }
-  void OfferTraffic(double rate_pps, SimDuration duration) {
-    const auto gap = static_cast<SimDuration>(1e9 / rate_pps);
-    const int64_t n = duration / gap;
-    const SimTime start = sim.Now();
-    for (int64_t i = 0; i < n; ++i) {
-      sim.ScheduleAt(start + i * gap, [this] {
-        Packet pkt;
-        pkt.src = 100;
-        pkt.dst = 1;
-        pkt.proto = AppProto::kKv;
-        pkt.payload = KvRequest{KvOp::kGet, 1, 0};
-        fpga.Receive(pkt);
-      });
-    }
-  }
-  struct FakeLikeMigrator : Migrator {
-    void ShiftToNetwork() override { RecordTransition(0, Placement::kNetwork); }
-    void ShiftToHost() override { RecordTransition(0, Placement::kHost); }
-  };
-
-  Simulation sim;
-  LakeCache lake{LakeConfig{}};
-  FpgaNic fpga;
-  FakeLikeMigrator migrator;
-};
-
-TEST(EnergyAwareControllerTest, ShiftsWhenModelPredictsSaving) {
-  EnergyControllerHarness h;
-  EnergyAwareControllerConfig config;
-  config.window = Milliseconds(500);
-  config.min_dwell = Milliseconds(100);
-  EnergyAwareController controller(
-      h.sim, h.fpga, h.migrator,
-      [](double r) { return MakeServerRatePower(I7MemcachedCurve(), Microseconds(4), 4)(r) + 4.0; },
-      MakeFpgaRatePower(35.0, 24.0, 1.0, 13e6), config);
-  controller.Start();
-  // 400 kpps: software would draw ~85 W vs LaKe's ~59 W -> shift.
-  h.OfferTraffic(400000, Seconds(2));
-  h.sim.RunUntil(Seconds(2));
-  EXPECT_EQ(h.migrator.placement(), Placement::kNetwork);
-  EXPECT_GT(controller.last_predicted_saving_watts(), 10.0);
-}
-
-TEST(EnergyAwareControllerTest, StaysOnHostWhenSoftwareCheaper) {
-  EnergyControllerHarness h;
-  EnergyAwareControllerConfig config;
-  config.window = Milliseconds(500);
-  EnergyAwareController controller(
-      h.sim, h.fpga, h.migrator,
-      [](double r) { return MakeServerRatePower(I7MemcachedCurve(), Microseconds(4), 4)(r) + 4.0; },
-      MakeFpgaRatePower(35.0, 24.0, 1.0, 13e6), config);
-  controller.Start();
-  h.OfferTraffic(20000, Seconds(2));  // Far below the ~86 kpps tipping point.
-  h.sim.RunUntil(Seconds(2));
-  EXPECT_EQ(h.migrator.placement(), Placement::kHost);
-  EXPECT_LT(controller.last_predicted_saving_watts(), 0.0);
-}
-
-TEST(EnergyAwareControllerTest, ShiftsBackWhenLoadDrops) {
-  EnergyControllerHarness h;
-  EnergyAwareControllerConfig config;
-  config.window = Milliseconds(500);
-  config.min_dwell = Milliseconds(100);
-  EnergyAwareController controller(
-      h.sim, h.fpga, h.migrator,
-      [](double r) { return MakeServerRatePower(I7MemcachedCurve(), Microseconds(4), 4)(r) + 4.0; },
-      MakeFpgaRatePower(35.0, 24.0, 1.0, 13e6), config);
-  controller.Start();
-  h.OfferTraffic(400000, Seconds(1));
-  h.sim.RunUntil(Seconds(1));
-  EXPECT_EQ(h.migrator.placement(), Placement::kNetwork);
-  h.sim.RunUntil(Seconds(3));  // Silence: software is cheaper at ~0 rate.
-  EXPECT_EQ(h.migrator.placement(), Placement::kHost);
-}
-
-TEST(EnergyAwareControllerTest, RejectsNullModels) {
-  EnergyControllerHarness h;
-  EXPECT_THROW(EnergyAwareController(h.sim, h.fpga, h.migrator, nullptr,
-                                     MakeFpgaRatePower(35, 24, 1, 13e6)),
-               std::invalid_argument);
 }
 
 }  // namespace
