@@ -34,26 +34,6 @@ void PutKvEntries(std::vector<uint8_t>& out, const std::vector<KvEntry>& entries
 
 }  // namespace
 
-std::vector<KvEntry> KvEntriesFromPairs(
-    const std::vector<std::pair<uint64_t, uint32_t>>& pairs) {
-  std::vector<KvEntry> entries;
-  entries.reserve(pairs.size());
-  for (const auto& [key, value_bytes] : pairs) {
-    entries.push_back(KvEntry{key, value_bytes});
-  }
-  return entries;
-}
-
-std::vector<std::pair<uint64_t, uint32_t>> KvPairsFromEntries(
-    const std::vector<KvEntry>& entries) {
-  std::vector<std::pair<uint64_t, uint32_t>> pairs;
-  pairs.reserve(entries.size());
-  for (const KvEntry& e : entries) {
-    pairs.emplace_back(e.key, e.value_bytes);
-  }
-  return pairs;
-}
-
 std::vector<uint8_t> SerializeAppState(const AppState& state) {
   std::vector<uint8_t> out;
   out.push_back(static_cast<uint8_t>(state.proto));

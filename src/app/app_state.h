@@ -18,21 +18,16 @@
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <variant>
 #include <vector>
 
+#include "src/kvs/kv_store.h"
 #include "src/net/node.h"
 #include "src/paxos/paxos_wire.h"
 
 namespace incod {
 
 // --- KVS ---
-struct KvEntry {
-  uint64_t key = 0;
-  uint32_t value_bytes = 0;
-};
-
 // Entries are ordered least- to most-recently-used so replaying them with
 // Set() reproduces the source store's exact LRU order (bit-identical
 // snapshot round trips).
@@ -87,13 +82,6 @@ struct AppState {
 // state serialize to identical bytes — the contract the round-trip tests
 // check ("bit-identical").
 std::vector<uint8_t> SerializeAppState(const AppState& state);
-
-// Conversions between KvEntry lists and the (key, value_bytes) pairs
-// KvStore::SnapshotLru/RestoreLru speak — shared by every KVS placement.
-std::vector<KvEntry> KvEntriesFromPairs(
-    const std::vector<std::pair<uint64_t, uint32_t>>& pairs);
-std::vector<std::pair<uint64_t, uint32_t>> KvPairsFromEntries(
-    const std::vector<KvEntry>& entries);
 
 }  // namespace incod
 

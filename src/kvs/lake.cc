@@ -143,9 +143,9 @@ double LakeCache::HardwareHitRatio() const {
 
 AppState LakeCache::SnapshotState() const {
   KvAppState kv;
-  kv.primary = KvEntriesFromPairs(l1_->SnapshotLru());
+  kv.primary = l1_->SnapshotLru();
   if (l2_ != nullptr) {
-    kv.secondary = KvEntriesFromPairs(l2_->SnapshotLru());
+    kv.secondary = l2_->SnapshotLru();
   }
   return AppState{proto(), AppName(), std::move(kv)};
 }
@@ -155,12 +155,11 @@ void LakeCache::RestoreState(const AppState& state) {
   if (kv == nullptr) {
     return;
   }
-  l1_->RestoreLru(KvPairsFromEntries(kv->primary));
+  l1_->RestoreLru(kv->primary);
   if (l2_ != nullptr) {
     // A host store's snapshot has everything in `primary`; LaKe fills its
     // large L2 from whichever side carries the bulk contents.
-    l2_->RestoreLru(
-        KvPairsFromEntries(kv->secondary.empty() ? kv->primary : kv->secondary));
+    l2_->RestoreLru(kv->secondary.empty() ? kv->primary : kv->secondary);
   }
 }
 

@@ -50,7 +50,7 @@ void MemcachedServer::HandlePacket(AppContext& ctx, Packet packet) {
 
 AppState MemcachedServer::SnapshotState() const {
   KvAppState kv;
-  kv.primary = KvEntriesFromPairs(store_.SnapshotLru());
+  kv.primary = store_.SnapshotLru();
   return AppState{proto(), AppName(), std::move(kv)};
 }
 
@@ -62,11 +62,7 @@ void MemcachedServer::RestoreState(const AppState& state) {
   // A layered cache's snapshot splits into secondary (bulk L2) and primary
   // (hot L1). The authoritative store takes both: bulk first, then the hot
   // entries so they land most-recently-used (and win on duplicate keys).
-  std::vector<std::pair<uint64_t, uint32_t>> entries =
-      KvPairsFromEntries(kv->secondary);
-  const auto primary = KvPairsFromEntries(kv->primary);
-  entries.insert(entries.end(), primary.begin(), primary.end());
-  store_.RestoreLru(entries);
+  store_.RestoreLru(kv->secondary, kv->primary);
 }
 
 }  // namespace incod

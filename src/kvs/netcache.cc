@@ -80,7 +80,7 @@ void KvSwitchCache::HandlePacket(AppContext& ctx, Packet packet) {
 
 AppState KvSwitchCache::SnapshotState() const {
   KvAppState kv;
-  kv.primary = KvEntriesFromPairs(cache_.SnapshotLru());
+  kv.primary = cache_.SnapshotLru();
   return AppState{proto(), AppName(), std::move(kv)};
 }
 
@@ -89,7 +89,7 @@ void KvSwitchCache::RestoreState(const AppState& state) {
   if (kv == nullptr) {
     return;
   }
-  cache_.RestoreLru(KvPairsFromEntries(kv->primary));
+  cache_.RestoreLru(kv->primary);
 }
 
 }  // namespace incod

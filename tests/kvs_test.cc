@@ -1,7 +1,14 @@
 // Tests for the KV store, protocol, memcached model, and LaKe.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstdlib>
+#include <list>
 #include <memory>
+#include <new>
+#include <unordered_map>
+#include <vector>
 
 #include "src/device/fpga_nic.h"
 #include "src/host/server.h"
@@ -12,6 +19,24 @@
 #include "src/net/topology.h"
 #include "src/power/cpu_power.h"
 #include "src/sim/simulation.h"
+
+// Every global allocation in this binary is counted, so a test can assert
+// that a window of store operations allocated nothing.
+namespace {
+std::atomic<uint64_t> g_allocations{0};
+}  // namespace
+
+// Out of line, so the compiler does not pair malloc() and free() with the
+// new and delete expressions that call these.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace incod {
 namespace {
@@ -122,6 +147,251 @@ TEST_P(KvStoreLruPropertyTest, MostRecentKeysSurvive) {
 
 INSTANTIATE_TEST_SUITE_P(Capacities, KvStoreLruPropertyTest,
                          ::testing::Values(1u, 4u, 16u, 51u));
+
+// Reference LRU for the differential test: the std::list + unordered_map
+// design the slab store replaced, kept only here.
+class ReferenceLru {
+ public:
+  explicit ReferenceLru(size_t capacity) : capacity_(capacity) {}
+
+  bool Get(uint64_t key, uint32_t* value_bytes) {
+    auto it = index_.find(key);
+    if (it == index_.end()) {
+      ++misses_;
+      return false;
+    }
+    ++hits_;
+    lru_.splice(lru_.begin(), lru_, it->second);
+    *value_bytes = it->second->value_bytes;
+    return true;
+  }
+
+  void Set(uint64_t key, uint32_t value_bytes) {
+    auto it = index_.find(key);
+    if (it != index_.end()) {
+      it->second->value_bytes = value_bytes;
+      lru_.splice(lru_.begin(), lru_, it->second);
+      return;
+    }
+    if (index_.size() >= capacity_) {
+      index_.erase(lru_.back().key);
+      lru_.pop_back();
+      ++evictions_;
+    }
+    lru_.push_front(KvEntry{key, value_bytes});
+    index_[key] = lru_.begin();
+  }
+
+  bool Delete(uint64_t key) {
+    auto it = index_.find(key);
+    if (it == index_.end()) {
+      return false;
+    }
+    lru_.erase(it->second);
+    index_.erase(it);
+    return true;
+  }
+
+  void Clear() {
+    lru_.clear();
+    index_.clear();
+  }
+
+  void RestoreLru(const std::vector<KvEntry>& bulk, const std::vector<KvEntry>& hot) {
+    Clear();
+    for (const KvEntry& e : bulk) {
+      Set(e.key, e.value_bytes);
+    }
+    for (const KvEntry& e : hot) {
+      Set(e.key, e.value_bytes);
+    }
+  }
+
+  std::vector<KvEntry> SnapshotLru() const {
+    return std::vector<KvEntry>(lru_.rbegin(), lru_.rend());
+  }
+
+  bool Contains(uint64_t key) const { return index_.count(key) != 0; }
+  size_t size() const { return index_.size(); }
+  uint64_t evictions() const { return evictions_; }
+  uint64_t hits() const { return hits_; }
+  uint64_t misses() const { return misses_; }
+
+ private:
+  size_t capacity_;
+  std::list<KvEntry> lru_;  // Front: most recently used.
+  std::unordered_map<uint64_t, std::list<KvEntry>::iterator> index_;
+  uint64_t evictions_ = 0;
+  uint64_t hits_ = 0;
+  uint64_t misses_ = 0;
+};
+
+// A key whose index hash (the store's multiplicative hash, mirrored here)
+// is `hash`: the top bits of `hash` pick the home slot at every table size,
+// so keys built from one prefix collide in the index and keys from adjacent
+// prefixes share probe chains. 0xFFFF prefixes home on the last slot, so
+// their chains wrap around the table.
+uint64_t KeyWithIndexHash(uint64_t hash) {
+  constexpr uint64_t kMultiplier = 0x9E3779B97F4A7C15ull;
+  uint64_t inverse = kMultiplier;  // Newton's iteration for the 2-adic inverse.
+  for (int i = 0; i < 5; ++i) {
+    inverse *= 2 - kMultiplier * inverse;
+  }
+  return hash * inverse;
+}
+
+std::vector<KvEntry> RandomEntries(Rng& rng, const std::vector<uint64_t>& keys, size_t n) {
+  std::vector<KvEntry> entries;
+  for (size_t i = 0; i < n; ++i) {
+    const size_t k = static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(keys.size()) - 1));
+    entries.push_back(KvEntry{keys[k], static_cast<uint32_t>(rng.UniformInt(1, 1500))});
+  }
+  return entries;
+}
+
+void ExpectSameEntries(const std::vector<KvEntry>& got, const std::vector<KvEntry>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].key, want[i].key) << "LRU position " << i;
+    ASSERT_EQ(got[i].value_bytes, want[i].value_bytes) << "LRU position " << i;
+  }
+}
+
+void ExpectSameState(const KvStore& store, const ReferenceLru& ref) {
+  EXPECT_EQ(store.size(), ref.size());
+  EXPECT_EQ(store.evictions(), ref.evictions());
+  EXPECT_EQ(store.lookup_stats().hits(), ref.hits());
+  EXPECT_EQ(store.lookup_stats().misses(), ref.misses());
+  ExpectSameEntries(store.SnapshotLru(), ref.SnapshotLru());
+}
+
+// Seeded random Get/Set/Delete/Clear/RestoreLru streams against the
+// reference LRU: every return value and, after each phase, the whole
+// observable state (size, evictions, lookup stats, LRU order) must match.
+class KvStoreDifferentialTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(KvStoreDifferentialTest, MatchesReferenceLru) {
+  const size_t capacity = GetParam();
+  Rng rng(0xC0FFEE + capacity);
+  // Half the key space collides in the index (four 16-bit hash prefixes,
+  // two of them adjacent and one wrapping), half is spread by the hash.
+  std::vector<uint64_t> keys;
+  const uint64_t prefixes[] = {0x0000, 0x8000, 0x8001, 0xFFFF};
+  const size_t per_prefix = std::min<size_t>(capacity + 2, 64);
+  for (const uint64_t prefix : prefixes) {
+    for (size_t i = 0; i < per_prefix; ++i) {
+      keys.push_back(KeyWithIndexHash((prefix << 48) | (rng.NextU64() >> 16)));
+    }
+  }
+  for (size_t i = 0; i < 2 * capacity + 8; ++i) {
+    keys.push_back(rng.NextU64());
+  }
+
+  KvStore store(capacity);
+  ReferenceLru ref(capacity);
+  const int phases = 30;
+  const int ops_per_phase = static_cast<int>(std::max<size_t>(400, 4 * capacity));
+  for (int phase = 0; phase < phases; ++phase) {
+    for (int op = 0; op < ops_per_phase; ++op) {
+      const uint64_t key = keys[static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(keys.size()) - 1))];
+      const int64_t roll = rng.UniformInt(0, 999);
+      if (roll < 450) {
+        uint32_t got = 0;
+        uint32_t want = 0;
+        ASSERT_EQ(store.Get(key, &got), ref.Get(key, &want));
+        ASSERT_EQ(got, want);
+      } else if (roll < 850) {
+        const auto bytes = static_cast<uint32_t>(rng.UniformInt(1, 1500));
+        store.Set(key, bytes);
+        ref.Set(key, bytes);
+      } else if (roll < 997) {
+        ASSERT_EQ(store.Delete(key), ref.Delete(key));
+      } else if (roll < 998) {
+        store.Clear();
+        ref.Clear();
+      } else {
+        // Restores with duplicate keys, some larger than the capacity.
+        const auto n = static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(2 * capacity + 4)));
+        const std::vector<KvEntry> bulk = RandomEntries(rng, keys, n);
+        const std::vector<KvEntry> hot = RandomEntries(rng, keys, n / 4);
+        store.RestoreLru(bulk, hot);
+        ref.RestoreLru(bulk, hot);
+      }
+      ASSERT_EQ(store.Contains(key), ref.Contains(key));
+      ASSERT_EQ(store.size(), ref.size());
+      // Small stores: every resident key must stay findable after every
+      // operation, so a broken index fails here instead of corrupting on.
+      if (capacity <= 64) {
+        for (const KvEntry& e : ref.SnapshotLru()) {
+          ASSERT_TRUE(store.Contains(e.key)) << "key " << e.key << " lost";
+        }
+      }
+    }
+    ExpectSameState(store, ref);
+    if (::testing::Test::HasFatalFailure()) {
+      return;
+    }
+    // A restore of the store's own snapshot is an identity.
+    if (phase % 10 == 9) {
+      const std::vector<KvEntry> snapshot = ref.SnapshotLru();
+      store.RestoreLru(snapshot);
+      ref.RestoreLru(snapshot, {});
+      ExpectSameState(store, ref);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Capacities, KvStoreDifferentialTest,
+                         ::testing::Values(1u, 2u, 3u, 64u, 4096u));
+
+TEST(KvStoreTest, SteadyStateGetSetAllocatesNothing) {
+  constexpr size_t kCapacity = 4096;
+  KvStore store(kCapacity);
+  for (uint64_t k = 0; k < kCapacity; ++k) {
+    store.Set(k, 64);
+  }
+  uint64_t x = 88172645463325252ull;  // xorshift64: no allocation per key.
+  uint64_t hits = 0;
+  const uint64_t before = g_allocations.load(std::memory_order_relaxed);
+  for (int i = 0; i < 1'000'000; ++i) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    const uint64_t key = x % (2 * kCapacity);
+    if ((x >> 32) % 4 == 0) {
+      store.Set(key, static_cast<uint32_t>(x >> 40));
+    } else {
+      uint32_t bytes = 0;
+      hits += store.Get(key, &bytes) ? 1 : 0;
+    }
+  }
+  const uint64_t allocations = g_allocations.load(std::memory_order_relaxed) - before;
+  EXPECT_EQ(allocations, 0u);
+  EXPECT_GT(store.evictions(), 0u);
+  EXPECT_GT(hits, 0u);
+  EXPECT_EQ(store.size(), kCapacity);
+}
+
+TEST(KvStoreTest, RestoreAllocationsDoNotGrowWithEntries) {
+  auto restore_allocations = [](size_t n) {
+    std::vector<KvEntry> entries;
+    for (uint64_t k = 0; k < n; ++k) {
+      entries.push_back(KvEntry{k * 7919, 64});
+    }
+    KvStore store(1 << 20);
+    const uint64_t before = g_allocations.load(std::memory_order_relaxed);
+    store.RestoreLru(entries);
+    const uint64_t allocations = g_allocations.load(std::memory_order_relaxed) - before;
+    EXPECT_EQ(store.size(), n);
+    return allocations;
+  };
+  const uint64_t small = restore_allocations(1000);
+  const uint64_t large = restore_allocations(100'000);
+  EXPECT_EQ(large, small);
+  EXPECT_LE(large, 2u);  // The slab and the index, each sized once.
+}
 
 TEST(KvProtocolTest, WireSizes) {
   KvRequest get{KvOp::kGet, 1, 0};
